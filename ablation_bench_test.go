@@ -1,17 +1,15 @@
 // Ablation benchmarks for the design choices DESIGN.md calls out, beyond
 // the paper's own figures: PHT learning policy, strict-vs-partial matching
-// value, streaming-module contribution per suite, and the raw simulator
-// throughput that bounds experiment cost.
+// value, streaming-module contribution per suite. Each reports a simulated
+// metric; host-time throughput is perfbench's job.
 package repro_test
 
 import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/harness"
 	"repro/internal/prefetch"
 	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -106,66 +104,6 @@ func BenchmarkAblationPromotionDegree(b *testing.B) {
 			}
 			b.ReportMetric(sp, "speedup")
 		})
-	}
-}
-
-// BenchmarkSimulatorThroughput measures raw simulated instructions per
-// second — the cost model behind the harness scales.
-func BenchmarkSimulatorThroughput(b *testing.B) {
-	recs := workload.MustGenerate("bwaves_s-2609", 50_000)
-	b.ResetTimer()
-	var instr uint64
-	for i := 0; i < b.N; i++ {
-		cfg := sim.DefaultConfig(1)
-		cfg.WarmupInstructions = 0
-		cfg.SimInstructions = 150_000
-		sys, err := sim.New(cfg, []sim.CoreSpec{{
-			Trace:        trace.NewLooping(trace.NewSliceReader(recs)),
-			L1Prefetcher: core.NewDefault(),
-		}})
-		if err != nil {
-			b.Fatal(err)
-		}
-		res := sys.Run()
-		instr += res.Cores[0].Instructions
-	}
-	b.ReportMetric(float64(instr)/b.Elapsed().Seconds(), "instr/s")
-}
-
-// BenchmarkWorkloadGeneration measures trace synthesis throughput.
-func BenchmarkWorkloadGeneration(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_ = workload.MustGenerate("cassandra-p0c0", 100_000)
-	}
-}
-
-// BenchmarkGazeTrainHot measures the prefetcher's per-access cost on a hot
-// streaming loop (the "single CPU cycle per table access" claim is about
-// hardware; this tracks software simulation cost).
-func BenchmarkGazeTrainHot(b *testing.B) {
-	g := core.NewDefault()
-	issue := func(prefetch.Request) {}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		addr := uint64(0x10000000) + uint64(i%100000)*64
-		g.Train(prefetch.Access{PC: 0x400100, VAddr: addr}, issue)
-	}
-}
-
-// BenchmarkHarnessQuickFig6 times the full Fig 6 pipeline at Quick scale,
-// the unit of cost for the full experiment suite.
-func BenchmarkHarnessQuickFig6(b *testing.B) {
-	var tables []stats.Table
-	for i := 0; i < b.N; i++ {
-		r := harness.NewRunner(harness.Quick)
-		exp, err := harness.Find("fig6")
-		if err != nil {
-			b.Fatal(err)
-		}
-		tables = exp.Run(r)
-	}
-	if len(tables) == 0 {
-		b.Fatal("no tables")
 	}
 }
 

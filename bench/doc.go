@@ -1,8 +1,8 @@
-// Package bench holds the hot-path microbenchmark suite: the simulation
-// steady-state step, the prefetch queue, trace generation vs. the
-// materialized-trace cache, and the end-to-end sweep-repeat scenario the
-// experiment engine optimizes for. CI runs it on every push, writes the
-// parsed results to BENCH.json (cmd/benchjson) and fails if a pinned
-// zero-allocation benchmark allocates; see DESIGN.md's hot-path section
-// for what each benchmark guards.
+// Package bench holds the tier-1 zero-allocation pins of the simulation
+// hot path: the steady-state step over heap slices and mapped slabs, with
+// every evaluated prefetcher and with the observability layer armed, and
+// the prefetch queue. It also keeps the big-trace sliced-vs-unsliced
+// benchmarks that the time-slicing decision needs. Host-time performance
+// is measured by the repository benchmark (python3 perfbench/run.py), not
+// here; see DESIGN.md §4 "Benchmarks and profiling".
 package bench

@@ -3,7 +3,6 @@ package bench
 import (
 	"testing"
 
-	"repro/internal/engine"
 	"repro/internal/prefetch"
 	"repro/internal/prefetchers"
 	"repro/internal/sim"
@@ -13,7 +12,7 @@ import (
 
 // nextLine is a minimal allocation-free prefetcher that exercises the
 // full issue path (queue push with duplicates, drain, L1 and L2 fills)
-// without any prefetcher-model cost, so the step benchmarks measure the
+// without any prefetcher-model cost, so the zero-alloc pins cover the
 // simulator, not a particular design.
 type nextLine struct{}
 
@@ -30,8 +29,8 @@ func (nextLine) EvictNotify(uint64) {}
 // warmSystem builds a single-core system over a materialized trace and
 // advances it past every warm-up transient (cache fill, queue and table
 // population), leaving it in the steady state the simulator spends its
-// life in. Telemetry is armed deliberately: the zero-alloc and step
-// benchmarks must hold with interval sampling live, proving collection
+// life in. Telemetry is armed deliberately: the zero-alloc pins must
+// hold with interval sampling live, proving collection
 // costs one compare per step and boundary appends stay inside the
 // preallocated sample storage.
 func warmSystem(tb testing.TB, pf prefetch.Prefetcher) *sim.System {
@@ -49,85 +48,6 @@ func warmSystem(tb testing.TB, pf prefetch.Prefetcher) *sim.System {
 	}
 	sys.Advance(100_000)
 	return sys
-}
-
-// BenchmarkStep measures the steady-state simulation step — one trace
-// record through the core, the prefetch queues and the cache hierarchy.
-// It is pinned at 0 allocs/op by CI (cmd/benchjson -pin).
-func BenchmarkStep(b *testing.B) {
-	sys := warmSystem(b, nextLine{})
-	b.ReportAllocs()
-	b.ResetTimer()
-	sys.Advance(b.N)
-}
-
-// BenchmarkStepGaze is BenchmarkStep with the paper's prefetcher, so the
-// full Gaze training path rides the steady state. Also alloc-pinned.
-func BenchmarkStepGaze(b *testing.B) {
-	sys := warmSystem(b, prefetchers.MustNew("Gaze"))
-	b.ReportAllocs()
-	b.ResetTimer()
-	sys.Advance(b.N)
-}
-
-// BenchmarkQueue measures one Push (with a duplicate sibling) plus the
-// matching PopReady on a warm prefetch queue. Pinned at 0 allocs/op.
-func BenchmarkQueue(b *testing.B) {
-	q := prefetch.NewQueue(32, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		now := float64(i)
-		line := uint64(i%1024) * 64
-		q.Push(prefetch.Request{VLine: line}, now)
-		q.Push(prefetch.Request{VLine: line, Level: prefetch.LevelL2}, now) // duplicate merge
-		q.PopReady(now)
-	}
-}
-
-// BenchmarkTraceGen measures raw trace synthesis — what every job of a
-// sweep used to pay before the materialized-trace cache.
-func BenchmarkTraceGen(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		workload.MustGenerate("bwaves_s-2609", 50_000)
-	}
-}
-
-// BenchmarkTraceMaterialize measures the cache-hit path every job after
-// the first actually takes.
-func BenchmarkTraceMaterialize(b *testing.B) {
-	workload.MustMaterialize("bwaves_s-2609", 50_000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		workload.MustMaterialize("bwaves_s-2609", 50_000)
-	}
-}
-
-// BenchmarkSweepRepeat is the end-to-end scenario this repository's
-// engine exists for: one trace, four prefetcher configurations, three
-// config points (a Fig 16-style sensitivity sweep), on a cold engine so
-// every job simulates. The materialized-trace cache means the trace is
-// generated once per process instead of once per job; the rest of the
-// delta against history is the allocation-free hot path.
-func BenchmarkSweepRepeat(b *testing.B) {
-	var jobs []engine.Job
-	for _, pq := range []int{16, 32, 64} {
-		o := engine.Overrides{PQCapacity: pq}
-		for _, pf := range []string{"none", "Gaze", "PMP", "Bingo"} {
-			jobs = append(jobs, engine.Job{
-				Traces: []string{"bwaves_s-2609"}, L1: []string{pf}, Overrides: o,
-			})
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		// Telemetry armed at the service default: the BENCH_10 trajectory
-		// point demonstrates sweep throughput with interval sampling live
-		// is within noise of the unarmed PR 8 numbers.
-		eng := engine.New(engine.Options{Scale: engine.Quick, TelemetryInterval: sim.DefaultTelemetryInterval})
-		eng.RunAll(jobs)
-	}
 }
 
 // TestStepZeroAlloc pins the steady-state invariant: once warm, stepping

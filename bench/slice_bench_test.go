@@ -1,6 +1,6 @@
 package bench
 
-// Benchmarks and pins for PR 8's two perf structures: the mmap-backed
+// Pins and benchmarks for the two big-trace structures: the mmap-backed
 // columnar slab step path (must stay allocation-free, like the heap path)
 // and time-sliced intra-trace execution (one big trace split across
 // cores; the interesting number is sliced vs unsliced wall clock on a
@@ -54,16 +54,6 @@ func warmSystemOn(tb testing.TB, recs trace.Records, pf prefetch.Prefetcher) *si
 	}
 	sys.Advance(100_000)
 	return sys
-}
-
-// BenchmarkStepMapped is BenchmarkStep reading records off the mmap-backed
-// columnar slab instead of a heap slice — the per-record accessor cost of
-// the zero-copy plane views. Pinned at 0 allocs/op by CI.
-func BenchmarkStepMapped(b *testing.B) {
-	sys := warmSystemOn(b, mappedSlab(b, 50_000), nextLine{})
-	b.ReportAllocs()
-	b.ResetTimer()
-	sys.Advance(b.N)
 }
 
 // TestStepMappedZeroAlloc extends the steady-state zero-alloc pin to the

@@ -28,6 +28,17 @@ func TestMaterializeSharesOneSlab(t *testing.T) {
 	}
 }
 
+// TestMaterializeHitZeroAlloc pins the cache-hit path every job after the
+// first takes: serving an already-resident slab allocates nothing.
+func TestMaterializeHitZeroAlloc(t *testing.T) {
+	ResetTraceCache()
+	defer ResetTraceCache()
+	MustMaterialize("bwaves_s-2609", 2_000)
+	if n := testing.AllocsPerRun(200, func() { MustMaterialize("bwaves_s-2609", 2_000) }); n != 0 {
+		t.Errorf("materialize cache hit allocates %.1f times per call, want 0", n)
+	}
+}
+
 func TestMaterializeMatchesGenerate(t *testing.T) {
 	ResetTraceCache()
 	got := MustMaterialize("fotonik3d_s-8225", 1_500)
