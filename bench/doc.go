@@ -1,8 +1,7 @@
 // Package bench holds the tier-1 zero-allocation pins of the simulation
 // hot path: the steady-state step over heap slices and mapped slabs, with
 // every evaluated prefetcher and with the observability layer armed, and
-// the prefetch queue. It also keeps the big-trace sliced-vs-unsliced
-// benchmarks that the time-slicing decision needs. Host-time performance
-// is measured by the repository benchmark (python3 perfbench/run.py), not
-// here; see DESIGN.md §4 "Benchmarks and profiling".
+// the prefetch queue. Host-time performance is measured by the repository
+// benchmark (python3 perfbench/run.py), not here; see DESIGN.md §4
+// "Benchmarks and profiling".
 package bench

@@ -8,9 +8,9 @@ import (
 )
 
 // TestStepZeroAllocTraced re-runs the steady-state zero-alloc pin with
-// the observability layer armed the way engine slice execution arms it:
-// a live tracer, an open span and a timings collector in context.
-// Instrumentation stops at slice and phase boundaries, so arming it must
+// the observability layer armed the way engine execution arms it: a live
+// tracer, an open span and a timings collector in context.
+// Instrumentation stops at shard and phase boundaries, so arming it must
 // add nothing to the per-step path — on heap slices and on mapped slabs.
 func TestStepZeroAllocTraced(t *testing.T) {
 	tracer := obs.NewTracer(obs.TracerOptions{})

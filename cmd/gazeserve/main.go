@@ -96,8 +96,6 @@ func main() {
 		jobsDir     = flag.String("jobs-dir", "", `job journal directory ("" = beside the result store, "none" = not durable)`)
 		traceDir    = flag.String("trace-dir", "", `ingested-trace registry directory ("" = beside the result store, "none" = disabled)`)
 		traceCache  = flag.Int64("trace-cache-mb", 2048, "materialized-trace cache budget in MB (0 = unbounded)")
-		autoSliceAt = flag.Int("auto-slice-records", 2_000_000, "auto-slice single-core jobs over ingested traces at or above this many effective records (0 = never)")
-		autoShards  = flag.Int("auto-slice-shards", server.DefaultAutoSliceShards, "slice count auto-sliced jobs use (fixed, so content addresses reproduce across servers)")
 		drain       = flag.Duration("drain", 30*time.Second, "graceful-shutdown budget for in-flight requests and running jobs")
 		admitRPS    = flag.Float64("admit-rps", 0, "per-client admitted requests/second on POST /simulate, /sweep and /jobs (0 = no admission control)")
 		admitBurst  = flag.Int("admit-burst", 8, "per-client burst allowance for -admit-rps")
@@ -190,8 +188,8 @@ func main() {
 	// sibling of the result store ("<store>.traces") unless pointed
 	// elsewhere or disabled. Registering it as a workload source is what
 	// lets every entry point run `ingested:<address>` names. It opens
-	// BEFORE the jobs manager because the auto-slice policy needs its
-	// record counts at compile time, and background jobs compile too.
+	// BEFORE the jobs manager: recovered jobs recompile at Open, and a job
+	// over an ingested trace only validates once the registry is a source.
 	var reg *traceset.Registry
 	tdir := *traceDir
 	switch {
@@ -212,26 +210,6 @@ func main() {
 		logger.Info("trace registry open", "dir", tdir, "traces", reg.Len())
 	}
 
-	// Auto-slicing rewrites big single-core ingested-trace jobs to
-	// slice_shards at compile time — the same policy on the synchronous
-	// handlers, background jobs and analytics addressing, so all three
-	// agree on content addresses.
-	var policy *server.SlicePolicy
-	if *autoSliceAt > 0 && reg != nil {
-		policy = &server.SlicePolicy{
-			MinRecords: *autoSliceAt,
-			Shards:     *autoShards,
-			Records: func(addr string) (int, bool) {
-				m, ok := reg.Get(addr)
-				if !ok {
-					return 0, false
-				}
-				return m.Records, true
-			},
-		}
-		logger.Info("auto-slicing ingested-trace jobs", "min_records", *autoSliceAt, "shards", *autoShards)
-	}
-
 	// The job journal lives beside the result store by default — a
 	// sibling "<store>.jobs", NOT inside it: the store sweeps its own
 	// directory for stale-schema .json garbage at Open and would eat
@@ -247,7 +225,7 @@ func main() {
 	}
 	jobOpts := jobs.Options{
 		Engine:     eng,
-		Compile:    server.CompilerWithPolicy(eng, policy),
+		Compile:    server.Compiler(eng),
 		Dir:        dir,
 		Workers:    *jobsWorkers,
 		QueueDepth: *jobsQueue,
@@ -267,7 +245,7 @@ func main() {
 		logger.Info("job journal open", "dir", dir, "recovered", c.Recovered, "interrupted", c.Interrupted)
 	}
 
-	srvHandle := server.New(eng).AttachJobs(mgr).SetSlicePolicy(policy).
+	srvHandle := server.New(eng).AttachJobs(mgr).
 		SetMetrics(metrics).SetRequestLogger(logger)
 	if tracer != nil {
 		srvHandle.AttachTracer(tracer)

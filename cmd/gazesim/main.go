@@ -49,7 +49,6 @@ func main() {
 		llcMB      = flag.Float64("llc-mb", 0, "override LLC size, MB per core (Fig 16b)")
 		l2KB       = flag.Int("l2-kb", 0, "override per-core L2C size in KB (Fig 16c)")
 		pq         = flag.Int("pq", 0, "override prefetch-queue capacity")
-		shards     = flag.Int("slice-shards", 0, "split a single-core run into this many parallel time slices (changes results: part of the cache key)")
 		telEvery   = flag.Uint64("telemetry-interval", 0, "sample interval telemetry every N measured instructions per core (0 = disabled; never changes results or cache keys)")
 		telOut     = flag.String("telemetry-out", "", "write each run's interval-timeline document (JSON) to this path (suite runs write <path>.<trace>)")
 		cacheDir   = flag.String("cache-dir", "", "result store directory (default: $GAZE_CACHE_DIR or the user cache dir)")
@@ -153,7 +152,6 @@ func main() {
 		LLCMBPerCore: *llcMB,
 		L2KB:         *l2KB,
 		PQCapacity:   *pq,
-		SliceShards:  *shards,
 	}
 
 	// Batch every (baseline, prefetcher) pair of the whole invocation

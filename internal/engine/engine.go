@@ -116,14 +116,6 @@ func (j Job) CanonicalJSON(scale Scale) string {
 	warmup, sim := j.Overrides.EffectiveBudgets(scale)
 	o := j.Overrides
 	o.WarmupInstructions, o.SimInstructions = 0, 0 // folded into warmup/sim
-	if o.SliceShards == 1 {
-		// One slice is the whole run: slice_shards 1 executes the plain
-		// unsliced path, so it must share the unsliced job's address.
-		// Every K >= 2 stays in the encoding — sliced results differ
-		// numerically from unsliced ones (bounded per-slice warmup), so
-		// each (job, K) is its own content-addressed experiment.
-		o.SliceShards = 0
-	}
 	l1 := canonicalNames(j.L1, len(j.Traces))
 	l2 := canonicalNames(j.L2, len(j.Traces))
 	if l1 == nil && l2 == nil {
@@ -246,13 +238,6 @@ func (j Job) Validate() error {
 			}
 		}
 	}
-	if j.Overrides.SliceShards > 1 && n != 1 {
-		// Slicing parallelizes within one trace; multi-core jobs already
-		// parallelize across cores, and slicing each core's trace would
-		// multiply the simulated systems without a defined merge.
-		return fmt.Errorf("engine: slice_shards = %d requires a single-core job, got %d cores",
-			j.Overrides.SliceShards, n)
-	}
 	return j.Overrides.Validate()
 }
 
@@ -362,14 +347,10 @@ type Options struct {
 	// completed the job, so concurrent RunAll calls interleave their
 	// counts. StderrProgress is a ready-made renderer for CLIs.
 	Progress func(Progress)
-	// SliceWorkers bounds the goroutines one sliced job (Overrides.
-	// SliceShards > 1) fans out to (0 = GOMAXPROCS). It only throttles
-	// execution — a sliced job's result is identical at every setting.
-	SliceWorkers int
 	// Phases, when set, observes per-phase durations (queue_wait,
-	// materialize, simulate, slice, merge, store_commit, shard) into a
-	// phase-labeled latency histogram. Observability-only: results and
-	// content addresses are identical with or without it.
+	// materialize, simulate, store_commit, shard) into a phase-labeled
+	// latency histogram. Observability-only: results and content
+	// addresses are identical with or without it.
 	Phases *obs.HistogramVec
 	// TelemetryInterval arms interval-sampled simulation telemetry: every
 	// executed job additionally produces a timeline document sampled
@@ -386,7 +367,6 @@ type Engine struct {
 	store             *Store
 	seed              uint64
 	workers           int
-	sliceWorkers      int
 	progress          func(Progress)
 	phases            *obs.HistogramVec
 	telemetryInterval uint64
@@ -421,7 +401,6 @@ func New(opts Options) *Engine {
 		store:             opts.Store,
 		seed:              opts.Seed,
 		workers:           opts.Workers,
-		sliceWorkers:      opts.SliceWorkers,
 		progress:          opts.Progress,
 		phases:            opts.Phases,
 		telemetryInterval: opts.TelemetryInterval,
@@ -650,8 +629,8 @@ func (e *Engine) config(cores int) sim.Config {
 // phase opens an engine-phase span ("engine."+name) under ctx and
 // returns it plus a completion func that ends the span and feeds the
 // phase histogram. Instrumentation stops at this granularity — phases
-// wrap whole simulations, materializations and merges, never the
-// per-record step loop, so the hot path stays allocation-free.
+// wrap whole simulations and materializations, never the per-record
+// step loop, so the hot path stays allocation-free.
 func (e *Engine) phase(ctx context.Context, name string, attrs ...obs.Attr) (context.Context, *obs.Span, func()) {
 	start := time.Now()
 	ctx, sp := obs.Start(ctx, "engine."+name, attrs...)
@@ -664,9 +643,6 @@ func (e *Engine) phase(ctx context.Context, name string, attrs ...obs.Attr) (con
 // execute runs one job and returns its result plus the collected
 // telemetry timeline (nil when telemetry is disabled).
 func (e *Engine) execute(ctx context.Context, j Job) (sim.Result, *sim.Telemetry, error) {
-	if k := j.Overrides.SliceShards; k > 1 && len(j.Traces) == 1 {
-		return e.executeSliced(ctx, j, k)
-	}
 	cores := len(j.Traces)
 	cfg := j.Overrides.Apply(e.config(cores))
 	l1s := Broadcast(j.L1, cores)

@@ -65,20 +65,6 @@ func TestContentAddressGolden(t *testing.T) {
 			address:   "79889db4e22b517ef2c15b7aa26d30594ba9127a42065b7a86373f6d8ee469b7",
 		},
 		{
-			// Sliced execution changes the simulated numbers (bounded
-			// per-slice warmup), so slice_shards > 1 is part of the address.
-			// slice_shards 1 folds to 0 (the plain unsliced path) and never
-			// appears — TestSliceShardsAddressing pins that side.
-			name: "sliced",
-			job: Job{
-				Traces:    []string{"lbm-1274"},
-				L1:        []string{"Gaze"},
-				Overrides: Overrides{SliceShards: 4},
-			},
-			canonical: `{"v":2,"trace_len":1000,"warmup":100,"sim":200,"traces":["lbm-1274"],"l1":["Gaze"],"overrides":{"slice_shards":4}}`,
-			address:   "b2c8ac61379c4e4366d3f0e2c7b47541698195f7c7d2028c3b78385644267f72",
-		},
-		{
 			// Ingested traces fold their record-stream digest into the
 			// encoding (trace_digests), so result-store keys pin trace
 			// CONTENT, not just a registry name. The field is omitted for

@@ -32,15 +32,6 @@ type Overrides struct {
 	// per-core instruction budgets.
 	WarmupInstructions uint64 `json:"warmup_instructions,omitempty"`
 	SimInstructions    uint64 `json:"sim_instructions,omitempty"`
-	// SliceShards splits a single-core job's measurement window into this
-	// many contiguous time slices simulated in parallel, each warmed by
-	// replaying the warmup-budget's worth of records preceding it
-	// (DESIGN.md §9). 0 and 1 both mean unsliced. Slicing changes the
-	// simulated numbers (per-slice warmup is an approximation of full
-	// history), so the shard count is part of the job's content address;
-	// the merge itself is deterministic, independent of execution
-	// parallelism. Only single-core jobs may slice.
-	SliceShards int `json:"slice_shards,omitempty"`
 }
 
 // Override bounds. Jobs come in over HTTP, so every knob is range-checked:
@@ -54,9 +45,6 @@ const (
 	minPQCapacity, maxPQCapacity     = 1, 4096
 	maxPQDrainRate                   = 64.0
 	maxInstructions                  = 50_000_000
-	// maxSliceShards bounds intra-trace parallelism: beyond ~64 slices the
-	// per-slice warmup replay dominates the measured work.
-	maxSliceShards = 64
 )
 
 // IsZero reports whether every knob is at its default.
@@ -85,8 +73,6 @@ func (o Overrides) Validate() error {
 		return fmt.Errorf("engine: warmup_instructions = %d exceeds the limit of %d", o.WarmupInstructions, maxInstructions)
 	case o.SimInstructions > maxInstructions:
 		return fmt.Errorf("engine: sim_instructions = %d exceeds the limit of %d", o.SimInstructions, maxInstructions)
-	case o.SliceShards != 0 && (o.SliceShards < 1 || o.SliceShards > maxSliceShards):
-		return fmt.Errorf("engine: slice_shards = %d out of range [1, %d]", o.SliceShards, maxSliceShards)
 	}
 	return nil
 }

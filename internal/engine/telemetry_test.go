@@ -1,9 +1,8 @@
 package engine_test
 
 // Engine-level telemetry guarantees: arming interval telemetry is
-// invisible to content addressing (byte-identical result stores), sliced
-// execution produces one canonical timeline document regardless of slice
-// parallelism, documents survive the export/import/adopt cluster path
+// invisible to content addressing (byte-identical result stores),
+// documents survive the export/import/adopt cluster path
 // byte-identically, cached replays collect nothing, and GC reaps a
 // result's timeline sidecar with the result.
 
@@ -90,59 +89,6 @@ func TestTelemetryContentAddressInvisible(t *testing.T) {
 	}
 	if sidecars == 0 {
 		t.Error("armed run persisted no .timeline sidecar")
-	}
-}
-
-// TestSlicedTelemetryDeterminism: for a K=4 sliced job, the persisted
-// timeline document is byte-identical whether the slices ran serially
-// (SliceWorkers 1) or fanned out (SliceWorkers 8) — the concatenation
-// rule is a pure function of the slices in slice order.
-func TestSlicedTelemetryDeterminism(t *testing.T) {
-	job := telTestJob()
-	job.Overrides = engine.Overrides{SliceShards: 4}
-	if err := job.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	addr := job.ContentAddress(telTestScale)
-
-	base := t.TempDir()
-	docs := map[int][]byte{}
-	for _, workers := range []int{1, 8} {
-		store, err := engine.Open(filepath.Join(base, "w"+string(rune('0'+workers))))
-		if err != nil {
-			t.Fatal(err)
-		}
-		e := engine.New(engine.Options{
-			Scale: telTestScale, Store: store,
-			SliceWorkers: workers, TelemetryInterval: 5_000,
-		})
-		if _, err := e.RunContext(t.Context(), job); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		doc, ok := e.Telemetry(addr)
-		if !ok {
-			t.Fatalf("workers=%d: no timeline document at %s", workers, addr[:12])
-		}
-		docs[workers] = doc
-	}
-	if !bytes.Equal(docs[1], docs[8]) {
-		t.Error("sliced timeline document differs between SliceWorkers 1 and 8")
-	}
-
-	// The document round-trips: samples tile one logical serial run.
-	tel, err := engine.DecodeTelemetry(docs[1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tel.Cores) != 1 || len(tel.Cores[0].Samples) == 0 {
-		t.Fatalf("merged telemetry shape: %+v", tel)
-	}
-	var prevEnd uint64
-	for i, sm := range tel.Cores[0].Samples {
-		if sm.Start != prevEnd {
-			t.Fatalf("sample %d starts at %d, previous ended at %d: slice axes not rebased", i, sm.Start, prevEnd)
-		}
-		prevEnd = sm.End
 	}
 }
 
@@ -255,4 +201,29 @@ func TestGCReapsTelemetrySidecar(t *testing.T) {
 	if st.Documents != 0 || st.Bytes != 0 {
 		t.Errorf("telemetry stats after GC: %+v, want zero documents/bytes", st)
 	}
+}
+
+// storeBytes reads every result file under dir keyed by relative path.
+func storeBytes(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	files := map[string][]byte{}
+	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(dir, path)
+		if err != nil {
+			return err
+		}
+		files[rel] = data
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("walking store %s: %v", dir, err)
+	}
+	return files
 }

@@ -159,7 +159,7 @@ type Record struct {
 // finalize sums to ≈ TotalMS. Spans aggregates the durations of every
 // instrumentation span recorded under the job (engine.materialize,
 // engine.simulate, engine.shard, cluster.* ...); those ran concurrently
-// across shards and slices, so their sum routinely exceeds wall time.
+// across shards, so their sum routinely exceeds wall time.
 type Timings struct {
 	TotalMS int64            `json:"total_ms"`
 	Phases  map[string]int64 `json:"phases"`

@@ -183,7 +183,7 @@ func NewMetrics() *Metrics {
 		HTTPDuration: NewHistogramVec("gaze_http_request_duration_seconds",
 			"HTTP request latency by matched route pattern.", "route", DefBuckets),
 		EnginePhase: NewHistogramVec("gaze_engine_phase_duration_seconds",
-			"Engine phase latency (queue_wait, materialize, simulate, slice, merge, store_commit).", "phase", DefBuckets),
+			"Engine phase latency (queue_wait, materialize, simulate, store_commit, shard).", "phase", DefBuckets),
 		JobQueueWait: NewHistogram("gaze_jobs_queue_wait_seconds",
 			"Time jobs spent queued between submission and dispatch.", WaitBuckets),
 		LeaseHold: NewHistogram("gaze_cluster_lease_hold_seconds",

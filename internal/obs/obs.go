@@ -8,7 +8,7 @@
 // returns a nil *Span unless a Tracer or Timings collector is present in
 // the context, and every method on a nil *Span, *Tracer, *Histogram and
 // *Timings is a no-op. Instrumentation is expected at phase granularity
-// (per request, per shard, per slice) — never inside the simulator's
+// (per request, per shard) — never inside the simulator's
 // per-record step loop, whose zero-alloc pin must keep passing with
 // tracing enabled.
 package obs
@@ -284,7 +284,7 @@ func (t *Tracer) Stats() TracerStats {
 // Timings accumulates span durations by name — one collector per job,
 // carried in the job's context, aggregated into the job's phase-timing
 // breakdown. Durations for spans that ran concurrently (parallel
-// shards, slices) add up and may exceed wall time.
+// shards) add up and may exceed wall time.
 type Timings struct {
 	mu sync.Mutex
 	d  map[string]time.Duration

@@ -201,10 +201,7 @@ func (s *Server) compileAnalytics(r *http.Request, allowAxis bool) (*analyticsVi
 	if err != nil {
 		return nil, err
 	}
-	// The server's slice policy applies here too: analytics aggregates
-	// whatever /sweep persisted, so its grid must address exactly the jobs
-	// an auto-slicing sweep compiled.
-	grid, err := compileSweepGrid(s.eng.Scale(), req, s.slice)
+	grid, err := compileSweepGrid(s.eng.Scale(), req)
 	if err != nil {
 		return nil, err
 	}

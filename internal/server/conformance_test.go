@@ -39,6 +39,8 @@ type conformanceCase struct {
 	// wantCT overrides the expected Content-Type prefix (default:
 	// application/json for handler responses).
 	wantCT string
+	// wantErrorContains, when set, must appear in the "error" string.
+	wantErrorContains string
 }
 
 func conformanceServer(t *testing.T) *httptest.Server {
@@ -92,6 +94,11 @@ func TestHTTPConformance(t *testing.T) {
 			body: `{"trace":"lbm-1274","prefetcher":"Gaze","bogus":1}`, wantStatus: 400, wantJSONError: true},
 		{name: "simulate unknown override knob", method: "POST", path: "/simulate",
 			body: `{"trace":"lbm-1274","prefetcher":"Gaze","overrides":{"llc_mb":1}}`, wantStatus: 400, wantJSONError: true},
+		// Time-sliced execution was removed: its knob is an unknown field
+		// like any other, never silently ignored.
+		{name: "simulate removed slice_shards knob", method: "POST", path: "/simulate",
+			body:       `{"trace":"lbm-1274","prefetcher":"Gaze","overrides":{"slice_shards":4}}`,
+			wantStatus: 400, wantJSONError: true, wantErrorContains: `unknown field "slice_shards"`},
 		{name: "simulate unknown trace", method: "POST", path: "/simulate",
 			body: `{"trace":"nope","prefetcher":"Gaze"}`, wantStatus: 400, wantJSONError: true},
 		{name: "simulate empty body", method: "POST", path: "/simulate",
@@ -224,6 +231,9 @@ func TestHTTPConformance(t *testing.T) {
 				}
 				if e.Error == "" {
 					t.Error(`error body missing non-empty "error" field`)
+				}
+				if !strings.Contains(e.Error, tc.wantErrorContains) {
+					t.Errorf("error %q does not name %q", e.Error, tc.wantErrorContains)
 				}
 			}
 		})

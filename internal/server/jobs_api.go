@@ -31,14 +31,6 @@ import (
 // caps of the synchronous handlers. Inject it into jobs.Open for the
 // same engine the server runs on.
 func Compiler(eng *engine.Engine) jobs.Compiler {
-	return CompilerWithPolicy(eng, nil)
-}
-
-// CompilerWithPolicy is Compiler with a slice policy: background jobs
-// auto-slice exactly like the synchronous handlers, so both paths address
-// (and therefore memoize) identically. Pass the same policy given to
-// SetSlicePolicy.
-func CompilerWithPolicy(eng *engine.Engine, policy *SlicePolicy) jobs.Compiler {
 	return func(spec jobs.Spec) (*jobs.Plan, error) {
 		if len(bytes.TrimSpace(spec.Request)) == 0 {
 			return nil, fmt.Errorf("job has no request body")
@@ -50,14 +42,14 @@ func CompilerWithPolicy(eng *engine.Engine, policy *SlicePolicy) jobs.Compiler {
 			if err := decodeSpecJSON(spec.Request, &req); err != nil {
 				return nil, err
 			}
-			plan, err := compileSweep(scale, req, policy)
+			plan, err := compileSweep(scale, req)
 			return planFor(req, plan, err)
 		case "simulate":
 			var req SimulateRequest
 			if err := decodeSpecJSON(spec.Request, &req); err != nil {
 				return nil, err
 			}
-			plan, err := compileSimulate(scale, req, policy)
+			plan, err := compileSimulate(scale, req)
 			return planFor(req, plan, err)
 		}
 		return nil, fmt.Errorf("unknown job type %q (want \"sweep\" or \"simulate\")", spec.Type)

@@ -51,10 +51,6 @@ type Server struct {
 	// (zero = only explicitly-aged requests collect).
 	gcAge time.Duration
 
-	// slice, when set, auto-slices big ingested-trace jobs at compile
-	// time (SetSlicePolicy).
-	slice *SlicePolicy
-
 	// tracer records request spans and serves GET /debug/traces (nil =
 	// tracing disabled; the route answers 503).
 	tracer *obs.Tracer
@@ -407,7 +403,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "decoding request: %v", err)
 		return
 	}
-	plan, err := compileSimulate(s.eng.Scale(), req, s.slice)
+	plan, err := compileSimulate(s.eng.Scale(), req)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -443,15 +439,12 @@ type requestPlan struct {
 }
 
 // compileSimulate validates a /simulate request and plans its two engine
-// jobs (baseline + target). All errors are client errors. policy (may be
-// nil) auto-slices big ingested-trace jobs before addressing; the
-// baseline inherits the rewritten overrides, so it slices identically.
-func compileSimulate(scale engine.Scale, req SimulateRequest, policy *SlicePolicy) (*requestPlan, error) {
+// jobs (baseline + target). All errors are client errors.
+func compileSimulate(scale engine.Scale, req SimulateRequest) (*requestPlan, error) {
 	job, err := jobFor(req)
 	if err != nil {
 		return nil, err
 	}
-	policy.apply(scale, &job)
 	// Per-knob override bounds don't compose into a work bound on their
 	// own: 16 cores at maxed-out budgets would simulate for hours. Cap the
 	// request's total work (baseline + target across all cores).
@@ -474,7 +467,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "decoding request: %v", err)
 		return
 	}
-	plan, err := compileSweep(s.eng.Scale(), req, s.slice)
+	plan, err := compileSweep(s.eng.Scale(), req)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -520,8 +513,8 @@ func (g *sweepGrid) index(vi, ti, pi int) int {
 // compileSweep validates a /sweep request and plans its full grid —
 // baselines included — plus the row/geomean/sensitivity assembly. All
 // errors are client errors.
-func compileSweep(scale engine.Scale, req SweepRequest, policy *SlicePolicy) (*requestPlan, error) {
-	g, err := compileSweepGrid(scale, req, policy)
+func compileSweep(scale engine.Scale, req SweepRequest) (*requestPlan, error) {
+	g, err := compileSweepGrid(scale, req)
 	if err != nil {
 		return nil, err
 	}
@@ -560,10 +553,8 @@ func compileSweep(scale engine.Scale, req SweepRequest, policy *SlicePolicy) (*r
 }
 
 // compileSweepGrid validates a sweep-shaped request and builds its job
-// grid. All errors are client errors. policy (may be nil) auto-slices
-// each single-core grid job over a big ingested trace — including the
-// baselines, so speedups divide sliced by sliced.
-func compileSweepGrid(scale engine.Scale, req SweepRequest, policy *SlicePolicy) (*sweepGrid, error) {
+// grid. All errors are client errors.
+func compileSweepGrid(scale engine.Scale, req SweepRequest) (*sweepGrid, error) {
 	traces := req.Traces
 	if req.Suite != "" {
 		for _, info := range workload.Suite(req.Suite) {
@@ -662,9 +653,6 @@ func compileSweepGrid(scale engine.Scale, req SweepRequest, policy *SlicePolicy)
 				grid = append(grid, engine.Job{Traces: []string{tr}, L1: []string{pf}, Overrides: o})
 			}
 		}
-	}
-	for i := range grid {
-		policy.apply(scale, &grid[i])
 	}
 	return &sweepGrid{
 		traces:     traces,

@@ -224,8 +224,7 @@ func (s *Server) handleAnalyticsTimeline(w http.ResponseWriter, r *http.Request)
 		}
 	}
 	// The overlay addresses exactly the single-core jobs a sweep of
-	// (trace, prefetchers) would run — slice policy included, so a sweep's
-	// auto-sliced timelines are found under the same addresses.
+	// (trace, prefetchers) would run.
 	scale := s.eng.Scale()
 	resp := TimelineOverlayResponse{
 		SchemaVersion: TimelineSchemaVersion,
@@ -236,7 +235,6 @@ func (s *Server) handleAnalyticsTimeline(w http.ResponseWriter, r *http.Request)
 	addrs := make([]string, len(pfs))
 	for i, pf := range pfs {
 		job := engine.Job{Traces: []string{tr}, L1: []string{pf}}
-		s.slice.apply(scale, &job)
 		addrs[i] = job.ContentAddress(scale)
 	}
 	for i, pf := range pfs {

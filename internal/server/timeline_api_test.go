@@ -198,8 +198,8 @@ func TestJobLinksCompletedTimelines(t *testing.T) {
 	}
 }
 
-// TestTimelineNeverTorn is the -race acceptance check: while a sliced
-// job is in flight, concurrent timeline reads must only ever observe
+// TestTimelineNeverTorn is the -race acceptance check: while a job is
+// in flight, concurrent timeline reads must only ever observe
 // 404 (not started), 409 (computing), or the complete document — never
 // torn or partial bytes. The atomic sidecar write plus save-before-
 // commit ordering is what makes this hold.
@@ -207,12 +207,11 @@ func TestTimelineNeverTorn(t *testing.T) {
 	eng := engine.New(engine.Options{
 		Scale:             engine.Scale{TracesPerSuite: 1, TraceLen: 10_000, Warmup: 5_000, Sim: 100_000},
 		TelemetryInterval: 5_000,
-		SliceWorkers:      2,
 	})
 	ts := httptest.NewServer(New(eng).Handler())
 	t.Cleanup(ts.Close)
 
-	job := engine.Job{Traces: []string{"lbm-1274"}, L1: []string{"Gaze"}, Overrides: engine.Overrides{SliceShards: 4}}
+	job := engine.Job{Traces: []string{"lbm-1274"}, L1: []string{"Gaze"}}
 	if err := job.Validate(); err != nil {
 		t.Fatal(err)
 	}

@@ -182,64 +182,3 @@ func (s *System) Telemetry() *Telemetry {
 	}
 	return t
 }
-
-// ConcatSliceTelemetry combines the telemetry of K time slices of one
-// single-core run into the timeline of the logical serial run, mirroring
-// MergeSlices: a pure function of the parts in slice order, independent
-// of how (or how parallel) the slices executed. Samples concatenate with
-// instruction positions rebased onto the merged run's measured axis.
-// Introspection event counters sum across slices; table occupancy is the
-// last slice's (each slice trains a fresh prefetcher, so the final
-// slice's tables are the closest analogue of end-of-run state). Nil
-// parts (skipped slices) are ignored; all-nil input returns nil.
-func ConcatSliceTelemetry(parts []*Telemetry) *Telemetry {
-	merged := &Telemetry{}
-	var (
-		core  CoreTelemetry
-		intro prefetch.Introspection
-		hasIn bool
-		off   uint64
-	)
-	for _, p := range parts {
-		if p == nil || len(p.Cores) == 0 {
-			continue
-		}
-		if merged.Interval == 0 {
-			merged.Interval = p.Interval
-		}
-		c := p.Cores[0]
-		if core.Prefetcher == "" {
-			core.Prefetcher = c.Prefetcher
-		}
-		for _, sm := range c.Samples {
-			sm.Start += off
-			sm.End += off
-			core.Samples = append(core.Samples, sm)
-		}
-		if n := len(core.Samples); n > 0 {
-			off = core.Samples[n-1].End
-		}
-		if c.Introspection != nil {
-			hasIn = true
-			intro.PatternEntries = c.Introspection.PatternEntries
-			intro.PatternCapacity = c.Introspection.PatternCapacity
-			intro.StreamHits += c.Introspection.StreamHits
-			intro.PatternHits += c.Introspection.PatternHits
-			for i := range intro.ReuseHistogram {
-				intro.ReuseHistogram[i] += c.Introspection.ReuseHistogram[i]
-			}
-		}
-	}
-	if merged.Interval == 0 {
-		return nil
-	}
-	if core.Samples == nil {
-		core.Samples = []IntervalSample{}
-	}
-	if hasIn {
-		in := intro
-		core.Introspection = &in
-	}
-	merged.Cores = []CoreTelemetry{core}
-	return merged
-}

@@ -95,54 +95,3 @@ func TestTelemetryNeverPerturbsResult(t *testing.T) {
 		t.Errorf("telemetry perturbed the run:\nbare  %+v\narmed %+v", bare, armed)
 	}
 }
-
-func TestConcatSliceTelemetryRebasesAndSums(t *testing.T) {
-	part := func(end uint64, stream uint64) *Telemetry {
-		return &Telemetry{Interval: 100, Cores: []CoreTelemetry{{
-			Prefetcher: "Gaze",
-			Samples: []IntervalSample{
-				{Start: 0, End: end / 2, PrefetchesIssued: 3},
-				{Start: end / 2, End: end, PrefetchesIssued: 4},
-			},
-			Introspection: &prefetch.Introspection{
-				PatternEntries: int(stream), PatternCapacity: 64,
-				StreamHits: stream, PatternHits: 1,
-			},
-		}}}
-	}
-	merged := ConcatSliceTelemetry([]*Telemetry{part(200, 10), nil, part(150, 5)})
-	if merged == nil || len(merged.Cores) != 1 {
-		t.Fatalf("merged = %+v", merged)
-	}
-	c := merged.Cores[0]
-	if c.Prefetcher != "Gaze" || merged.Interval != 100 {
-		t.Errorf("header not carried: %q interval %d", c.Prefetcher, merged.Interval)
-	}
-	wantBounds := [][2]uint64{{0, 100}, {100, 200}, {200, 275}, {275, 350}}
-	if len(c.Samples) != len(wantBounds) {
-		t.Fatalf("got %d samples, want %d", len(c.Samples), len(wantBounds))
-	}
-	for i, w := range wantBounds {
-		if c.Samples[i].Start != w[0] || c.Samples[i].End != w[1] {
-			t.Errorf("sample %d = [%d,%d), want [%d,%d): slice axes not rebased",
-				i, c.Samples[i].Start, c.Samples[i].End, w[0], w[1])
-		}
-	}
-	in := c.Introspection
-	if in == nil {
-		t.Fatal("introspection dropped")
-	}
-	// Event counters sum; occupancy is the last slice's.
-	if in.StreamHits != 15 || in.PatternHits != 2 {
-		t.Errorf("event counters = %d/%d, want 15/2", in.StreamHits, in.PatternHits)
-	}
-	if in.PatternEntries != 5 || in.PatternCapacity != 64 {
-		t.Errorf("occupancy = %d/%d, want the last slice's 5/64", in.PatternEntries, in.PatternCapacity)
-	}
-}
-
-func TestConcatSliceTelemetryAllNil(t *testing.T) {
-	if got := ConcatSliceTelemetry([]*Telemetry{nil, nil}); got != nil {
-		t.Errorf("all-nil concat = %+v, want nil", got)
-	}
-}

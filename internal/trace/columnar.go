@@ -168,6 +168,13 @@ func columnsFromBytes(data []byte, retain *mapping) (*Columns, error) {
 	if v := binary.LittleEndian.Uint16(data[6:8]); v != ColumnarVersion {
 		return nil, fmt.Errorf("%w: columnar version %d (want %d)", ErrCorrupt, v, ColumnarVersion)
 	}
+	// Reserved words must be zero, so a later layout that uses them is
+	// told apart from version 1 rather than misread as it.
+	for _, b := range data[16:colsHeaderSize] {
+		if b != 0 {
+			return nil, fmt.Errorf("%w: non-zero reserved columnar header bytes", ErrCorrupt)
+		}
+	}
 	count := binary.LittleEndian.Uint64(data[8:16])
 	if count > uint64(int(^uint(0)>>1))/19 || int64(len(data)) != ColumnarSize(int(count)) {
 		return nil, fmt.Errorf("%w: columnar size %d does not match %d records", ErrCorrupt, len(data), count)

@@ -98,18 +98,19 @@ func TestMapColumnar(t *testing.T) {
 		}
 	}
 
-	// A reader over the mapped slab replays the identical stream, offset
-	// starts included.
-	r := NewRecordsReaderAt(cols, cols.Len()-1)
-	if rec, err := r.Next(); err != nil || rec != recs[len(recs)-1] {
-		t.Fatalf("offset read = %+v, %v", rec, err)
+	// A reader over the mapped slab replays the identical stream.
+	r := NewRecordsReader(cols)
+	for i, want := range recs {
+		if rec, err := r.Next(); err != nil || rec != want {
+			t.Fatalf("read %d = %+v, %v; want %+v", i, rec, err, want)
+		}
 	}
 	if _, err := r.Next(); err == nil {
 		t.Fatal("reader past the end should EOF")
 	}
 	r.Reset()
 	if rec, _ := r.Next(); rec != recs[0] {
-		t.Fatal("Reset should rewind to record 0, not the start offset")
+		t.Fatal("Reset should rewind to record 0")
 	}
 }
 

@@ -87,15 +87,6 @@ func NewRecordsReader(recs Records) *SliceReader {
 	return &SliceReader{recs: recs, n: recs.Len()}
 }
 
-// NewRecordsReaderAt returns a Reader over recs whose first read is record
-// start; Reset (and therefore Looping's wrap) still rewinds to record 0,
-// so a reader started mid-slab replays the virtual looped stream
-// start, start+1, ..., n-1, 0, 1, ... — the supply a time slice of a
-// looped trace needs.
-func NewRecordsReaderAt(recs Records, start int) *SliceReader {
-	return &SliceReader{recs: recs, n: recs.Len(), pos: start}
-}
-
 // Next implements Reader.
 func (s *SliceReader) Next() (Record, error) {
 	if s.pos >= s.n {
