@@ -15,17 +15,24 @@
 // whose data came from DRAM.
 //
 // Storage is structure-of-arrays, sized for the simulation hot loop: tag
-// words (validity folded in as tag+1, zero = invalid) and LRU stamps are
-// each packed contiguously so a 12-way tag scan touches two cache lines
-// instead of nine, and per-line metadata is only dereferenced for the one
-// way that hits or fills.
+// words (validity folded in as tag+1, zero = invalid) and readiness times
+// are each packed contiguously, so a 12-way tag scan touches two cache
+// lines. Replacement and prefetch state live in one 16-byte setState per
+// set: the exact LRU order as a list of 4-bit way numbers, so a victim is
+// read rather than searched for, and per-way prefetch bitmasks.
 package cache
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/mem"
 )
+
+// maxWays bounds associativity: a set's recency order holds one 4-bit way
+// number per way in a uint64, and its prefetch masks one bit per way in a
+// uint16.
+const maxWays = 16
 
 // Config describes one cache level.
 type Config struct {
@@ -50,8 +57,8 @@ func (c Config) Validate() error {
 	if c.Sets <= 0 || c.Sets&(c.Sets-1) != 0 {
 		return fmt.Errorf("cache %s: sets must be a positive power of two, got %d", c.Name, c.Sets)
 	}
-	if c.Ways <= 0 {
-		return fmt.Errorf("cache %s: ways must be positive, got %d", c.Name, c.Ways)
+	if c.Ways <= 0 || c.Ways > maxWays {
+		return fmt.Errorf("cache %s: ways must be between 1 and %d, got %d", c.Name, maxWays, c.Ways)
 	}
 	if c.HitLatency < 0 {
 		return fmt.Errorf("cache %s: negative hit latency", c.Name)
@@ -59,18 +66,25 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// lineMeta is the cold per-line state, read only for the way a scan
-// resolved (tags and LRU stamps live in their own packed arrays; virtual
-// line numbers live in vlines, allocated only when an evict observer
-// needs them).
-type lineMeta struct {
-	readyAt float64
-	// prefetch marks a line filled by a prefetch targeted at this level
-	// and not yet touched by a demand access.
-	prefetch bool
-	// fromDRAM marks a prefetch fill whose data came from DRAM (it would
-	// have been an off-chip miss); used for LLC coverage accounting.
-	fromDRAM bool
+// Nibble masks for the SWAR search over a recency word.
+const (
+	nibbleOnes = 0x1111111111111111
+	nibbleHigh = 0x8888888888888888
+)
+
+// setState is one set's replacement and prefetch state.
+type setState struct {
+	// order lists the set's ways as 4-bit way numbers from the LRU (nibble
+	// 0) to the MRU (nibble ways-1). It starts as way 0 through ways-1;
+	// lines are never invalidated and only filled or touched ways move, so
+	// invalid ways stay at the LRU end in index order and nibble 0 is
+	// always "the first invalid way, else the LRU".
+	order uint64
+	// pf marks, one bit per way, lines filled by a prefetch targeted at
+	// this level and not yet touched by a demand access. dram marks
+	// prefetch fills whose data came from DRAM (they would have been
+	// off-chip misses); used for LLC coverage accounting.
+	pf, dram uint16
 }
 
 // Stats accumulates per-level counters. The embedding simulator resets
@@ -102,20 +116,17 @@ type Cache struct {
 	cfg     Config
 	ways    int
 	setMask uint64
-	onEvict EvictFunc
-
-	// clock stamps LRU order. Stamps are uint32 to halve the victim
-	// scan's memory traffic; on the (practically unreachable) wrap the
-	// stamps are re-ranked per set, preserving exact LRU order — see
-	// rebaseLRU.
-	clock uint32
+	// mruShift is the bit offset of the MRU nibble, 4*(ways-1).
+	mruShift uint
+	onEvict  EvictFunc
 
 	// Structure-of-arrays line storage, Sets*Ways each: tags holds
-	// lineNum+1 (0 = invalid way), lru the LRU stamps, meta the cold
-	// per-line state.
-	tags []uint64
-	lru  []uint32
-	meta []lineMeta
+	// lineNum+1 (0 = invalid way), ready the cycle each line's fill
+	// completes.
+	tags  []uint64
+	ready []float64
+	// sets holds each set's recency order and prefetch masks.
+	sets []setState
 	// vlines records each line's virtual line number for eviction
 	// notifications. Only the L1 has an evict observer, so the array is
 	// allocated by SetEvictFunc rather than carried (and zeroed, and
@@ -137,17 +148,15 @@ type Cache struct {
 	mshrHead int
 
 	// pending is the fill hint: when a miss-detecting scan (Access,
-	// Probe, PromotePrefetch) establishes that a line is absent, it
-	// records the victim way it computed in passing. A Fill for the same
-	// line can then skip both of its scans — the simulator's miss path
-	// always scans before filling. Every method that mutates line state
-	// clears (or rewrites) the hint, so a hint that survives to Fill
-	// proves the cache is untouched since the scan and the victim choice
-	// is still exact.
+	// Probe, ProbeTouch, PromotePrefetch) establishes that a line is
+	// absent, it records the line's tag word and the victim way it read
+	// in passing. A Fill for the same line can then skip its tag scan —
+	// the simulator's miss paths always scan before filling. Every method
+	// that reorders a set clears the hint, so a hint that survives to Fill
+	// proves its victim is still the set's LRU way.
 	pending struct {
-		tag   uint64 // lineNum+1, matching the tags array encoding
-		way   int32
-		valid bool
+		tag uint64 // lineNum+1, matching the tags array encoding; 0 = none
+		way int
 	}
 
 	Stats Stats
@@ -162,53 +171,25 @@ func New(cfg Config) *Cache {
 	}
 	n := cfg.Sets * cfg.Ways
 	c := &Cache{
-		cfg:     cfg,
-		ways:    cfg.Ways,
-		setMask: uint64(cfg.Sets - 1),
-		tags:    make([]uint64, n),
-		lru:     make([]uint32, n),
-		meta:    make([]lineMeta, n),
+		cfg:      cfg,
+		ways:     cfg.Ways,
+		setMask:  uint64(cfg.Sets - 1),
+		mruShift: uint(4 * (cfg.Ways - 1)),
+		tags:     make([]uint64, n),
+		ready:    make([]float64, n),
+		sets:     make([]setState, cfg.Sets),
+	}
+	var order uint64
+	for w := 0; w < cfg.Ways; w++ {
+		order |= uint64(w) << (4 * w)
+	}
+	for i := range c.sets {
+		c.sets[i].order = order
 	}
 	if cfg.MSHRs > 0 {
 		c.mshrFree = make([]float64, cfg.MSHRs)
 	}
 	return c
-}
-
-// tick advances the LRU clock, re-ranking stamps first on the rare wrap.
-func (c *Cache) tick() {
-	if c.clock == ^uint32(0) {
-		c.rebaseLRU()
-	}
-	c.clock++
-}
-
-// rebaseLRU compresses every set's stamps to ranks 1..ways, preserving
-// their exact relative order (stamps are unique within a set; free ways
-// keep stamp 0), and rewinds the clock past the highest rank. Victim
-// selection before and after is therefore identical — the wrap is
-// invisible to the simulation. At one tick per cache operation the wrap
-// needs ~4.3 billion operations on one cache, beyond any configured
-// budget, but correctness here must not depend on budget limits.
-func (c *Cache) rebaseLRU() {
-	orig := make([]uint32, c.ways)
-	for base := 0; base+c.ways <= len(c.lru); base += c.ways {
-		set := c.lru[base : base+c.ways]
-		copy(orig, set) // rank against a snapshot, not half-rewritten stamps
-		for i, si := range orig {
-			if si == 0 {
-				continue
-			}
-			var rank uint32 = 1
-			for _, sj := range orig {
-				if sj != 0 && sj < si {
-					rank++
-				}
-			}
-			set[i] = rank
-		}
-	}
-	c.clock = uint32(c.ways)
 }
 
 // Config returns the cache's configuration.
@@ -222,46 +203,45 @@ func (c *Cache) SetEvictFunc(f EvictFunc) {
 	}
 }
 
-// setBase returns the index of way 0 of the set holding lineNum.
-func (c *Cache) setBase(lineNum uint64) int {
-	return int(lineNum&c.setMask) * c.ways
-}
-
-// findWay scans one set's packed tags for want (a lineNum+1 tag word) and
-// returns the way holding it, or -1.
-func (c *Cache) findWay(base int, want uint64) int {
-	tags := c.tags[base : base+c.ways]
-	for i, tg := range tags {
+// lookup scans the set of lineNum for the line. It returns the set's
+// state and recency order, the index of the set's way 0 in the line
+// arrays, and the way holding the line, or -1. The order is loaded before
+// the tag scan, so a host cache miss on it overlaps the scan's instead of
+// waiting for the scan's exit branch; every hit needs the order, and
+// every miss records its victim in the fill hint.
+func (c *Cache) lookup(lineNum uint64) (s *setState, order uint64, base, way int) {
+	set := int(lineNum & c.setMask)
+	s = &c.sets[set]
+	order = s.order
+	base = set * c.ways
+	want := lineNum + 1
+	for i, tg := range c.tags[base : base+c.ways] {
 		if tg == want {
-			return i
+			return s, order, base, i
 		}
 	}
-	return -1
+	return s, order, base, -1
 }
 
-// victimWay picks the way a fill of an absent line evicts: the first
-// invalid way, else the LRU. One argmin pass over the stamps decides
-// both, because an invalid way's stamp is always 0 (lines are never
-// invalidated once filled, and the clock pre-increments, so valid lines
-// stamp >= 1) and first-among-ties selects the first invalid way exactly
-// like the historical scan.
-func (c *Cache) victimWay(base int) int {
-	lru := c.lru[base : base+c.ways]
-	victim, oldest := 0, lru[0]
-	for i := 1; i < len(lru); i++ {
-		if lru[i] < oldest {
-			victim, oldest = i, lru[i]
-		}
-	}
-	return victim
+// missWithHint records the fill hint for an absent line: its tag word
+// and the victim a fill would take, the LRU way in nibble 0 of its set's
+// recency order.
+func (c *Cache) missWithHint(lineNum, order uint64) {
+	c.pending.tag = lineNum + 1
+	c.pending.way = int(order & 0xf)
 }
 
-// missWithHint records the fill hint for an absent line and returns -1.
-func (c *Cache) missWithHint(base int, want uint64) int {
-	c.pending.tag = want
-	c.pending.way = int32(c.victimWay(base))
-	c.pending.valid = true
-	return -1
+// promote moves way w of s, whose recency order is o, to the MRU end and
+// clears the fill hint, whose victim may have moved. A SWAR zero-nibble
+// test finds w's position: XOR with w in every nibble zeroes exactly that
+// nibble, and the lowest nibble the borrow trick flags is the lowest zero
+// one (a borrow can only produce false flags above a true zero). The
+// nibbles above it slide down one place and w lands at the MRU.
+func (c *Cache) promote(s *setState, o uint64, w int) {
+	c.pending.tag = 0
+	x := o ^ uint64(w)*nibbleOnes
+	p := uint(bits.TrailingZeros64((x-nibbleOnes)&^x&nibbleHigh)) &^ 3
+	s.order = o&(1<<p-1) | o>>(p+4)<<p | uint64(w)<<c.mruShift
 }
 
 // AccessResult reports the outcome of a demand access.
@@ -283,29 +263,25 @@ type AccessResult struct {
 // a miss leaves a fill hint for the fill that follows.
 func (c *Cache) Access(paddr mem.Addr, now float64) AccessResult {
 	ln := mem.LineNum(paddr)
-	base := c.setBase(ln)
-	c.tick()
+	s, order, base, i := c.lookup(ln)
 	c.Stats.DemandAccesses++
-	i := c.findWay(base, ln+1)
 	if i < 0 {
-		c.missWithHint(base, ln+1)
+		c.missWithHint(ln, order)
 		c.Stats.DemandMisses++
 		return AccessResult{}
 	}
-	c.pending.valid = false
 	c.Stats.DemandHits++
-	c.lru[base+i] = c.clock
-	m := &c.meta[base+i]
-	res := AccessResult{Hit: true, ReadyAt: m.readyAt}
-	if m.prefetch {
-		m.prefetch = false
+	c.promote(s, order, i)
+	res := AccessResult{Hit: true, ReadyAt: c.ready[base+i]}
+	if bit := uint16(1) << i; s.pf&bit != 0 {
+		s.pf &^= bit
 		c.Stats.UsefulPrefetches++
 		res.WasPrefetch = true
-		if m.readyAt > now {
+		if res.ReadyAt > now {
 			c.Stats.LatePrefetches++
 			res.WasLate = true
 		}
-		if m.fromDRAM {
+		if s.dram&bit != 0 {
 			c.Stats.CoveredMisses++
 		}
 	}
@@ -317,23 +293,19 @@ func (c *Cache) Access(paddr mem.Addr, now float64) AccessResult {
 // a miss leaves a fill hint behind for the fill that typically follows.
 func (c *Cache) Probe(paddr mem.Addr) bool {
 	ln := mem.LineNum(paddr)
-	base := c.setBase(ln)
-	if c.findWay(base, ln+1) >= 0 {
+	_, order, _, i := c.lookup(ln)
+	if i >= 0 {
 		return true
 	}
-	c.missWithHint(base, ln+1)
+	c.missWithHint(ln, order)
 	return false
 }
 
 // InFlight reports whether the line is present but its fill has not
 // completed by cycle now (an outstanding request).
 func (c *Cache) InFlight(paddr mem.Addr, now float64) bool {
-	ln := mem.LineNum(paddr)
-	base := c.setBase(ln)
-	if i := c.findWay(base, ln+1); i >= 0 {
-		return c.meta[base+i].readyAt > now
-	}
-	return false
+	_, _, base, i := c.lookup(mem.LineNum(paddr))
+	return i >= 0 && c.ready[base+i] > now
 }
 
 // FillOpts qualifies a Fill.
@@ -349,52 +321,54 @@ type FillOpts struct {
 // Fill inserts a line that becomes ready at readyAt, evicting the LRU
 // victim if needed. Filling an already-present line refreshes its
 // readiness only if the new fill completes earlier. When the pending fill
-// hint matches — the simulator's miss paths always scan (Access, Probe or
-// PromotePrefetch) right before filling — the tag and victim scans are
-// skipped entirely.
+// hint names the line — the simulator's miss paths always scan (Access,
+// Probe, ProbeTouch or PromotePrefetch) right before filling — the tag
+// scan is skipped.
 func (c *Cache) Fill(paddr mem.Addr, readyAt float64, opts FillOpts) {
 	ln := mem.LineNum(paddr)
-	base := c.setBase(ln)
-	c.tick()
-	var victim int
-	if c.pending.valid && c.pending.tag == ln+1 {
-		// The hinting scan proved ln absent and nothing mutated the cache
-		// since (every mutator clears the hint), so its victim is exact.
-		victim = int(c.pending.way)
-		c.pending.valid = false
-	} else {
-		c.pending.valid = false
-		if i := c.findWay(base, ln+1); i >= 0 {
-			m := &c.meta[base+i]
-			if readyAt < m.readyAt {
-				m.readyAt = readyAt
+	set := int(ln & c.setMask)
+	s, base := &c.sets[set], set*c.ways
+	// A matching hint proves ln absent, and nothing reordered the set
+	// since its scan, so its victim is still the LRU way.
+	w := c.pending.way
+	if c.pending.tag != ln+1 {
+		_, order, _, i := c.lookup(ln)
+		if i >= 0 {
+			if readyAt < c.ready[base+i] {
+				c.ready[base+i] = readyAt
 			}
 			// A demand fill of a line previously prefetched keeps the
 			// prefetch bit: usefulness is decided by demand *access*.
 			return
 		}
-		victim = c.victimWay(base)
+		w = int(order & 0xf)
 	}
-	vm := &c.meta[base+victim]
-	if c.tags[base+victim] != 0 {
-		if vm.prefetch {
+	c.pending.tag = 0
+	// The victim, nibble 0 of the recency order, moves to the MRU.
+	s.order = s.order>>4 | uint64(w)<<c.mruShift
+	bit := uint16(1) << w
+	line := base + w
+	if c.tags[line] != 0 {
+		wasPrefetch := s.pf&bit != 0
+		if wasPrefetch {
 			c.Stats.UselessPrefetches++
 		}
 		if c.onEvict != nil {
-			c.onEvict(c.vlines[base+victim], vm.prefetch)
+			c.onEvict(c.vlines[line], wasPrefetch)
 		}
 	}
-	c.tags[base+victim] = ln + 1
-	c.lru[base+victim] = c.clock
+	c.tags[line] = ln + 1
+	c.ready[line] = readyAt
 	if c.vlines != nil {
-		c.vlines[base+victim] = opts.VLine
+		c.vlines[line] = opts.VLine
 	}
-	*vm = lineMeta{
-		readyAt:  readyAt,
-		prefetch: opts.Prefetch,
-		fromDRAM: opts.FromDRAM && opts.Prefetch,
-	}
+	s.pf &^= bit
+	s.dram &^= bit
 	if opts.Prefetch {
+		s.pf |= bit
+		if opts.FromDRAM {
+			s.dram |= bit
+		}
 		c.Stats.PrefetchFills++
 	}
 }
@@ -474,67 +448,55 @@ func (c *Cache) MSHRComplete(slot int, finish float64) {
 // this level inherits the attribution: the paper's overall-accuracy metric
 // counts each prefetched block once (§IV-A3).
 func (c *Cache) ConsumePrefetch(paddr mem.Addr) (wasPrefetch, fromDRAM bool) {
-	ln := mem.LineNum(paddr)
-	base := c.setBase(ln)
-	c.pending.valid = false
-	if i := c.findWay(base, ln+1); i >= 0 {
-		m := &c.meta[base+i]
-		wasPrefetch, fromDRAM = m.prefetch, m.fromDRAM
-		if m.prefetch {
-			// Transfer: the fill at the level above re-registers it.
-			c.Stats.PrefetchFills--
-			m.prefetch = false
-			m.fromDRAM = false
-		}
-		return wasPrefetch, fromDRAM
+	s, _, _, i := c.lookup(mem.LineNum(paddr))
+	if i < 0 {
+		return false, false
 	}
-	return false, false
+	return c.consume(s, i)
+}
+
+// consume transfers way w's prefetch attribution (see ConsumePrefetch).
+func (c *Cache) consume(s *setState, w int) (wasPrefetch, fromDRAM bool) {
+	bit := uint16(1) << w
+	wasPrefetch, fromDRAM = s.pf&bit != 0, s.dram&bit != 0
+	if wasPrefetch {
+		// Transfer: the fill at the level above re-registers it.
+		c.Stats.PrefetchFills--
+		s.pf &^= bit
+		s.dram &^= bit
+	}
+	return wasPrefetch, fromDRAM
 }
 
 // PromotePrefetch is the fused Probe + Touch + ConsumePrefetch the
 // prefetch-issue hot path uses when an L1-destined prefetch may be served
 // from this level: one set scan reports residency, refreshes the line's
 // LRU position, and transfers the prefetch attribution (see
-// ConsumePrefetch). The clock only advances when the line is present,
-// exactly as the unfused Probe-then-Touch sequence behaves; a miss leaves
-// a fill hint behind.
+// ConsumePrefetch); a miss leaves a fill hint behind.
 func (c *Cache) PromotePrefetch(paddr mem.Addr) (present, wasPrefetch, fromDRAM bool) {
 	ln := mem.LineNum(paddr)
-	base := c.setBase(ln)
-	i := c.findWay(base, ln+1)
+	s, order, _, i := c.lookup(ln)
 	if i < 0 {
-		c.missWithHint(base, ln+1)
+		c.missWithHint(ln, order)
 		return false, false, false
 	}
-	c.pending.valid = false
-	c.tick()
-	c.lru[base+i] = c.clock
-	m := &c.meta[base+i]
-	wasPrefetch, fromDRAM = m.prefetch, m.fromDRAM
-	if m.prefetch {
-		c.Stats.PrefetchFills--
-		m.prefetch = false
-		m.fromDRAM = false
-	}
+	c.promote(s, order, i)
+	wasPrefetch, fromDRAM = c.consume(s, i)
 	return true, wasPrefetch, fromDRAM
 }
 
 // ProbeTouch is the fused Probe + Touch the prefetch-issue path uses for
 // levels that may serve a prefetch without inheriting attribution (the
-// LLC): one scan reports residency and refreshes the LRU position. The
-// clock only advances on presence, exactly like the unfused pair, and a
+// LLC): one scan reports residency and refreshes the LRU position, and a
 // miss leaves a fill hint behind.
 func (c *Cache) ProbeTouch(paddr mem.Addr) bool {
 	ln := mem.LineNum(paddr)
-	base := c.setBase(ln)
-	i := c.findWay(base, ln+1)
+	s, order, _, i := c.lookup(ln)
 	if i < 0 {
-		c.missWithHint(base, ln+1)
+		c.missWithHint(ln, order)
 		return false
 	}
-	c.pending.valid = false
-	c.tick()
-	c.lru[base+i] = c.clock
+	c.promote(s, order, i)
 	return true
 }
 
@@ -542,12 +504,8 @@ func (c *Cache) ProbeTouch(paddr mem.Addr) bool {
 // prefetch bits. The prefetch-issue path uses it when a prefetch is served
 // by a lower level.
 func (c *Cache) Touch(paddr mem.Addr) {
-	ln := mem.LineNum(paddr)
-	base := c.setBase(ln)
-	c.pending.valid = false
-	c.tick()
-	if i := c.findWay(base, ln+1); i >= 0 {
-		c.lru[base+i] = c.clock
+	if s, order, _, i := c.lookup(mem.LineNum(paddr)); i >= 0 {
+		c.promote(s, order, i)
 	}
 }
 
@@ -564,14 +522,12 @@ func (c *Cache) MSHRBusy(now float64) int {
 }
 
 // FlushStats finalizes end-of-simulation accounting: every still-resident
-// untouched prefetched line counts as useless (it never helped).
+// untouched prefetched line counts as useless (it never helped). A set
+// bit in pf always names a valid line: lines are never invalidated.
 func (c *Cache) FlushStats() {
-	c.pending.valid = false
-	for i := range c.meta {
-		if c.tags[i] != 0 && c.meta[i].prefetch {
-			c.Stats.UselessPrefetches++
-			c.meta[i].prefetch = false
-		}
+	for i := range c.sets {
+		c.Stats.UselessPrefetches += uint64(bits.OnesCount16(c.sets[i].pf))
+		c.sets[i].pf = 0
 	}
 }
 

@@ -1,6 +1,10 @@
 package cache
 
 import (
+	"fmt"
+	"math/rand/v2"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -12,19 +16,24 @@ func testCfg(sets, ways int) Config {
 }
 
 func TestConfigValidate(t *testing.T) {
-	good := testCfg(64, 8)
-	if err := good.Validate(); err != nil {
-		t.Errorf("valid config rejected: %v", err)
+	for _, good := range []Config{testCfg(64, 8), testCfg(64, 16)} {
+		if err := good.Validate(); err != nil {
+			t.Errorf("valid config rejected: %v", err)
+		}
 	}
 	bad := []Config{
 		{Name: "a", Sets: 0, Ways: 1},
 		{Name: "b", Sets: 3, Ways: 1},
 		{Name: "c", Sets: 4, Ways: 0},
 		{Name: "d", Sets: 4, Ways: 1, HitLatency: -1},
+		{Name: "e", Sets: 4, Ways: 17},
 	}
 	for _, cfg := range bad {
-		if err := cfg.Validate(); err == nil {
+		err := cfg.Validate()
+		if err == nil {
 			t.Errorf("invalid config %+v accepted", cfg)
+		} else if !strings.Contains(err.Error(), "cache "+cfg.Name+":") {
+			t.Errorf("error %q does not name level %s", err, cfg.Name)
 		}
 	}
 }
@@ -415,27 +424,303 @@ func TestProbeTouchRefreshesLRU(t *testing.T) {
 	}
 }
 
-// TestLRURebasePreservesOrder forces the uint32 clock wrap and checks
-// that victim selection is unchanged by the re-ranking.
-func TestLRURebasePreservesOrder(t *testing.T) {
-	c := New(testCfg(1, 4))
-	for i, a := range []mem.Addr{0x0000, 0x0040, 0x0080, 0x00C0} {
-		c.Fill(a, float64(i), FillOpts{})
-	}
-	c.Access(0x0000, 10) // 0x0000 becomes MRU; LRU order: 40, 80, C0, 00
-	c.clock = ^uint32(0) // force the wrap on the next tick
-	c.Access(0x0080, 11) // triggers rebase, then refreshes 0x0080
-	// LRU order now: 40, C0, 00, 80 — three fills must evict in that order.
-	for _, want := range []mem.Addr{0x0040, 0x00C0, 0x0000} {
-		if !c.Probe(want) {
-			t.Fatalf("line %#x missing before its eviction turn", want)
+// refLine is one line of the reference model.
+type refLine struct {
+	tag      uint64 // lineNum+1; 0 = invalid
+	stamp    uint64
+	ready    float64
+	pf, dram bool
+	vline    uint64
+}
+
+// evictEvent is one eviction notification.
+type evictEvent struct {
+	vline       uint64
+	wasPrefetch bool
+}
+
+// refCache is the reference model Cache is held to: the plain stamp LRU.
+// Every recency update stamps the line from a never-wrapping,
+// pre-incremented clock, and a fill of an absent line evicts the way with
+// the smallest stamp, the first among ties. Invalid ways keep stamp 0, so
+// that is the first invalid way, else the LRU. The model keeps no fill
+// hint and no packed state: it is the specification the cache's layout
+// must reproduce.
+type refCache struct {
+	ways    int
+	setMask uint64
+	clock   uint64
+	lines   []refLine
+	stats   Stats
+	evicted []evictEvent
+}
+
+func newRefCache(sets, ways int) *refCache {
+	return &refCache{ways: ways, setMask: uint64(sets - 1), lines: make([]refLine, sets*ways)}
+}
+
+func (r *refCache) set(ln uint64) []refLine {
+	base := int(ln&r.setMask) * r.ways
+	return r.lines[base : base+r.ways]
+}
+
+func (r *refCache) find(paddr mem.Addr) *refLine {
+	ln := mem.LineNum(paddr)
+	set := r.set(ln)
+	for i := range set {
+		if set[i].tag == ln+1 {
+			return &set[i]
 		}
-		c.Fill(0x4000+want, 0, FillOpts{})
-		if c.Probe(want) {
-			t.Fatalf("fill did not evict %#x (LRU order broken by rebase)", want)
+	}
+	return nil
+}
+
+func (r *refCache) touch(l *refLine) {
+	r.clock++
+	l.stamp = r.clock
+}
+
+func (r *refCache) Access(paddr mem.Addr, now float64) AccessResult {
+	r.stats.DemandAccesses++
+	l := r.find(paddr)
+	if l == nil {
+		r.stats.DemandMisses++
+		return AccessResult{}
+	}
+	r.stats.DemandHits++
+	r.touch(l)
+	res := AccessResult{Hit: true, ReadyAt: l.ready}
+	if l.pf {
+		l.pf = false
+		r.stats.UsefulPrefetches++
+		res.WasPrefetch = true
+		if l.ready > now {
+			r.stats.LatePrefetches++
+			res.WasLate = true
+		}
+		if l.dram {
+			r.stats.CoveredMisses++
 		}
 	}
-	if !c.Probe(0x0080) {
-		t.Error("MRU line evicted out of order after rebase")
+	return res
+}
+
+func (r *refCache) Probe(paddr mem.Addr) bool { return r.find(paddr) != nil }
+
+func (r *refCache) InFlight(paddr mem.Addr, now float64) bool {
+	l := r.find(paddr)
+	return l != nil && l.ready > now
+}
+
+func (r *refCache) Fill(paddr mem.Addr, readyAt float64, opts FillOpts) {
+	if l := r.find(paddr); l != nil {
+		if readyAt < l.ready {
+			l.ready = readyAt
+		}
+		return
 	}
+	ln := mem.LineNum(paddr)
+	set := r.set(ln)
+	v := 0
+	for i := range set {
+		if set[i].stamp < set[v].stamp {
+			v = i
+		}
+	}
+	if set[v].tag != 0 {
+		if set[v].pf {
+			r.stats.UselessPrefetches++
+		}
+		r.evicted = append(r.evicted, evictEvent{set[v].vline, set[v].pf})
+	}
+	set[v] = refLine{
+		tag:   ln + 1,
+		ready: readyAt,
+		pf:    opts.Prefetch,
+		dram:  opts.FromDRAM && opts.Prefetch,
+		vline: opts.VLine,
+	}
+	r.touch(&set[v])
+	if opts.Prefetch {
+		r.stats.PrefetchFills++
+	}
+}
+
+func (r *refCache) consume(l *refLine) (wasPrefetch, fromDRAM bool) {
+	wasPrefetch, fromDRAM = l.pf, l.dram
+	if l.pf {
+		r.stats.PrefetchFills--
+		l.pf, l.dram = false, false
+	}
+	return wasPrefetch, fromDRAM
+}
+
+func (r *refCache) ConsumePrefetch(paddr mem.Addr) (wasPrefetch, fromDRAM bool) {
+	if l := r.find(paddr); l != nil {
+		return r.consume(l)
+	}
+	return false, false
+}
+
+func (r *refCache) PromotePrefetch(paddr mem.Addr) (present, wasPrefetch, fromDRAM bool) {
+	l := r.find(paddr)
+	if l == nil {
+		return false, false, false
+	}
+	r.touch(l)
+	wasPrefetch, fromDRAM = r.consume(l)
+	return true, wasPrefetch, fromDRAM
+}
+
+func (r *refCache) ProbeTouch(paddr mem.Addr) bool {
+	l := r.find(paddr)
+	if l != nil {
+		r.touch(l)
+	}
+	return l != nil
+}
+
+func (r *refCache) Touch(paddr mem.Addr) {
+	if l := r.find(paddr); l != nil {
+		r.touch(l)
+	}
+}
+
+func (r *refCache) FlushStats() {
+	for i := range r.lines {
+		if r.lines[i].tag != 0 && r.lines[i].pf {
+			r.stats.UselessPrefetches++
+			r.lines[i].pf = false
+		}
+	}
+}
+
+// The operation alphabet of diffCache. A hinted fill runs one of the four
+// miss-detecting scans on a line and fills the same line straight after,
+// which is how the simulator's miss paths use the fill hint; a plain fill
+// follows whatever operation came before.
+const (
+	opAccess = iota
+	opProbe
+	opProbeTouch
+	opPromote
+	opTouch
+	opConsume
+	opInFlight
+	opFill
+	opHintedFill
+	opFlush
+	numOps
+)
+
+// diffCache replays ops on a Cache and on the reference model, three bytes
+// per operation (kind, line, argument), and describes the first operation
+// after which their results, statistics or evictions differ; it returns ""
+// when they agree throughout. Lines come from a pool about twice the
+// cache's capacity, so sequences mix hits, misses and evictions.
+func diffCache(sets, ways int, ops []byte) string {
+	c := New(Config{Name: "T", Sets: sets, Ways: ways, HitLatency: 1})
+	var got []evictEvent
+	c.SetEvictFunc(func(vline uint64, wasPrefetch bool) {
+		got = append(got, evictEvent{vline, wasPrefetch})
+	})
+	ref := newRefCache(sets, ways)
+	pool := 2*sets*ways + 1
+	for n := 0; n+3 <= len(ops); n += 3 {
+		kind, arg := int(ops[n])%numOps, ops[n+2]
+		addr := mem.Addr(int(ops[n+1])%pool) << 6
+		now := float64(arg)
+		opts := FillOpts{Prefetch: arg&1 != 0, FromDRAM: arg&2 != 0, VLine: uint64(n)}
+		var cr, rr any
+		switch kind {
+		case opAccess:
+			cr, rr = c.Access(addr, now), ref.Access(addr, now)
+		case opProbe:
+			cr, rr = c.Probe(addr), ref.Probe(addr)
+		case opProbeTouch:
+			cr, rr = c.ProbeTouch(addr), ref.ProbeTouch(addr)
+		case opPromote:
+			p, w, d := c.PromotePrefetch(addr)
+			rp, rw, rd := ref.PromotePrefetch(addr)
+			cr, rr = [3]bool{p, w, d}, [3]bool{rp, rw, rd}
+		case opTouch:
+			c.Touch(addr)
+			ref.Touch(addr)
+		case opConsume:
+			w, d := c.ConsumePrefetch(addr)
+			rw, rd := ref.ConsumePrefetch(addr)
+			cr, rr = [2]bool{w, d}, [2]bool{rw, rd}
+		case opInFlight:
+			cr, rr = c.InFlight(addr, now), ref.InFlight(addr, now)
+		case opFill:
+			c.Fill(addr, now, opts)
+			ref.Fill(addr, now, opts)
+		case opHintedFill:
+			switch arg >> 2 & 3 {
+			case 0:
+				cr, rr = c.Access(addr, now), ref.Access(addr, now)
+			case 1:
+				cr, rr = c.Probe(addr), ref.Probe(addr)
+			case 2:
+				cr, rr = c.ProbeTouch(addr), ref.ProbeTouch(addr)
+			case 3:
+				p, w, d := c.PromotePrefetch(addr)
+				rp, rw, rd := ref.PromotePrefetch(addr)
+				cr, rr = [3]bool{p, w, d}, [3]bool{rp, rw, rd}
+			}
+			c.Fill(addr, now, opts)
+			ref.Fill(addr, now, opts)
+		case opFlush:
+			c.FlushStats()
+			ref.FlushStats()
+		}
+		switch {
+		case cr != rr:
+			return fmt.Sprintf("op %d (kind %d, addr %#x): result %+v, reference %+v", n/3, kind, addr, cr, rr)
+		case c.Stats != ref.stats:
+			return fmt.Sprintf("op %d (kind %d, addr %#x): stats %+v, reference %+v", n/3, kind, addr, c.Stats, ref.stats)
+		case !slices.Equal(got, ref.evicted):
+			return fmt.Sprintf("op %d (kind %d, addr %#x): %d evictions ending %v, reference %d ending %v",
+				n/3, kind, addr, len(got), got[max(0, len(got)-2):], len(ref.evicted), ref.evicted[max(0, len(ref.evicted)-2):])
+		}
+	}
+	return ""
+}
+
+// TestCacheMatchesReference drives Cache and the stamp-LRU reference
+// model with seeded random operation sequences over every supported
+// associativity class and small set counts.
+func TestCacheMatchesReference(t *testing.T) {
+	for _, ways := range []int{1, 2, 4, 8, 12, 16} {
+		for _, sets := range []int{1, 2, 4} {
+			for seed := uint64(1); seed <= 4; seed++ {
+				rng := rand.New(rand.NewPCG(seed, uint64(ways*sets)))
+				ops := make([]byte, 3*3000)
+				for i := range ops {
+					ops[i] = byte(rng.Uint32())
+				}
+				if d := diffCache(sets, ways, ops); d != "" {
+					t.Fatalf("ways=%d sets=%d seed=%d: %s", ways, sets, seed, d)
+				}
+			}
+		}
+	}
+}
+
+// FuzzCacheMatchesReference is TestCacheMatchesReference with the
+// geometry and the operation sequence read from the fuzz input: byte 0
+// picks 1–16 ways, byte 1 picks 1, 2 or 4 sets, and the rest are
+// operations.
+func FuzzCacheMatchesReference(f *testing.F) {
+	f.Add([]byte{11, 0, opFill, 1, 1, opFill, 2, 0, opAccess, 1, 9, opFlush, 0, 0})
+	f.Add([]byte{15, 2, opHintedFill, 3, 5, opPromote, 3, 0, opHintedFill, 40, 12, opTouch, 3, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		ways, sets := 1+int(data[0])%16, 1<<(int(data[1])%3)
+		if d := diffCache(sets, ways, data[2:]); d != "" {
+			t.Fatalf("ways=%d sets=%d: %s", ways, sets, d)
+		}
+	})
 }

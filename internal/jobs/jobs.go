@@ -134,7 +134,10 @@ type Record struct {
 	State State
 	// Error is set for failed jobs and explains canceled/interrupted ones.
 	Error string
-	// Recovered marks a job resumed from the journal after a restart.
+	// Recovered marks a job this process restored from the journal at
+	// Open and had to act on: a queued job it resumed, a running one it
+	// marked interrupted, or a queued one it failed because its spec no
+	// longer compiles.
 	Recovered bool
 	Created   time.Time
 	Started   time.Time

@@ -191,6 +191,7 @@ func (m *Manager) recover(entries []entry) {
 				rec.State = Failed
 				rec.Error = fmt.Sprintf("jobs: recompiling recovered job: %v", err)
 				rec.Finished = time.Now()
+				rec.Recovered = true
 				break
 			}
 			rec.plan = plan

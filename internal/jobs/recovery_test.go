@@ -17,7 +17,8 @@ import (
 // queued job whose spec the current compiler rejects — here a simulate
 // request carrying the slice_shards override that time-sliced execution
 // used to accept. Recovery must surface it as failed with the recompile
-// error: not dropped from the table, and never run.
+// error and marked recovered, like jobs the same restart interrupted: not
+// dropped from the table, and never run.
 func TestRecoveredJobThatNoLongerCompilesFails(t *testing.T) {
 	dir := t.TempDir()
 	line := `{"time":"2026-07-30T12:00:00Z","id":"stale-job","state":"queued","spec":{"type":"simulate",` +
@@ -51,6 +52,9 @@ func TestRecoveredJobThatNoLongerCompilesFails(t *testing.T) {
 	}
 	if rec.State != jobs.Failed {
 		t.Fatalf("stale job state = %s, want failed", rec.State)
+	}
+	if !rec.Recovered {
+		t.Error("stale job failed at recovery is not marked recovered")
 	}
 	for _, want := range []string{"recompiling recovered job", `unknown field "slice_shards"`} {
 		if !strings.Contains(rec.Error, want) {
