@@ -18,7 +18,7 @@
 // words (validity folded in as tag+1, zero = invalid) and readiness times
 // are each packed contiguously, so a 12-way tag scan touches two cache
 // lines. Replacement and prefetch state live in one 16-byte setState per
-// set: the exact LRU order as a list of 4-bit way numbers, so a victim is
+// set: the exact LRU order as an internal/lru recency word, so a victim is
 // read rather than searched for, and per-way prefetch bitmasks.
 package cache
 
@@ -26,13 +26,9 @@ import (
 	"fmt"
 	"math/bits"
 
+	"repro/internal/lru"
 	"repro/internal/mem"
 )
-
-// maxWays bounds associativity: a set's recency order holds one 4-bit way
-// number per way in a uint64, and its prefetch masks one bit per way in a
-// uint16.
-const maxWays = 16
 
 // Config describes one cache level.
 type Config struct {
@@ -57,8 +53,8 @@ func (c Config) Validate() error {
 	if c.Sets <= 0 || c.Sets&(c.Sets-1) != 0 {
 		return fmt.Errorf("cache %s: sets must be a positive power of two, got %d", c.Name, c.Sets)
 	}
-	if c.Ways <= 0 || c.Ways > maxWays {
-		return fmt.Errorf("cache %s: ways must be between 1 and %d, got %d", c.Name, maxWays, c.Ways)
+	if c.Ways <= 0 || c.Ways > lru.MaxWays {
+		return fmt.Errorf("cache %s: ways must be between 1 and %d, got %d", c.Name, lru.MaxWays, c.Ways)
 	}
 	if c.HitLatency < 0 {
 		return fmt.Errorf("cache %s: negative hit latency", c.Name)
@@ -66,19 +62,13 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Nibble masks for the SWAR search over a recency word.
-const (
-	nibbleOnes = 0x1111111111111111
-	nibbleHigh = 0x8888888888888888
-)
-
 // setState is one set's replacement and prefetch state.
 type setState struct {
-	// order lists the set's ways as 4-bit way numbers from the LRU (nibble
-	// 0) to the MRU (nibble ways-1). It starts as way 0 through ways-1;
-	// lines are never invalidated and only filled or touched ways move, so
-	// invalid ways stay at the LRU end in index order and nibble 0 is
-	// always "the first invalid way, else the LRU".
+	// order is the set's lru recency word. It starts as way 0 through
+	// ways-1; lines are never invalidated and only filled or touched ways
+	// move, so invalid ways stay at the LRU end in index order and the
+	// victim is always "the first invalid way, else the LRU". pf and dram
+	// have one bit per way, so lru.MaxWays also fits them.
 	order uint64
 	// pf marks, one bit per way, lines filled by a prefetch targeted at
 	// this level and not yet touched by a demand access. dram marks
@@ -174,15 +164,12 @@ func New(cfg Config) *Cache {
 		cfg:      cfg,
 		ways:     cfg.Ways,
 		setMask:  uint64(cfg.Sets - 1),
-		mruShift: uint(4 * (cfg.Ways - 1)),
+		mruShift: lru.MRUShift(cfg.Ways),
 		tags:     make([]uint64, n),
 		ready:    make([]float64, n),
 		sets:     make([]setState, cfg.Sets),
 	}
-	var order uint64
-	for w := 0; w < cfg.Ways; w++ {
-		order |= uint64(w) << (4 * w)
-	}
+	order := lru.Init(cfg.Ways)
 	for i := range c.sets {
 		c.sets[i].order = order
 	}
@@ -224,24 +211,18 @@ func (c *Cache) lookup(lineNum uint64) (s *setState, order uint64, base, way int
 }
 
 // missWithHint records the fill hint for an absent line: its tag word
-// and the victim a fill would take, the LRU way in nibble 0 of its set's
-// recency order.
+// and the victim a fill would take, the LRU way of its set's recency
+// order.
 func (c *Cache) missWithHint(lineNum, order uint64) {
 	c.pending.tag = lineNum + 1
-	c.pending.way = int(order & 0xf)
+	c.pending.way = lru.Victim(order)
 }
 
 // promote moves way w of s, whose recency order is o, to the MRU end and
-// clears the fill hint, whose victim may have moved. A SWAR zero-nibble
-// test finds w's position: XOR with w in every nibble zeroes exactly that
-// nibble, and the lowest nibble the borrow trick flags is the lowest zero
-// one (a borrow can only produce false flags above a true zero). The
-// nibbles above it slide down one place and w lands at the MRU.
+// clears the fill hint, whose victim may have moved.
 func (c *Cache) promote(s *setState, o uint64, w int) {
 	c.pending.tag = 0
-	x := o ^ uint64(w)*nibbleOnes
-	p := uint(bits.TrailingZeros64((x-nibbleOnes)&^x&nibbleHigh)) &^ 3
-	s.order = o&(1<<p-1) | o>>(p+4)<<p | uint64(w)<<c.mruShift
+	s.order = lru.Promote(o, w, c.mruShift)
 }
 
 // AccessResult reports the outcome of a demand access.
@@ -341,11 +322,11 @@ func (c *Cache) Fill(paddr mem.Addr, readyAt float64, opts FillOpts) {
 			// prefetch bit: usefulness is decided by demand *access*.
 			return
 		}
-		w = int(order & 0xf)
+		w = lru.Victim(order)
 	}
 	c.pending.tag = 0
-	// The victim, nibble 0 of the recency order, moves to the MRU.
-	s.order = s.order>>4 | uint64(w)<<c.mruShift
+	// The victim, the LRU way, moves to the MRU.
+	s.order = lru.Rotate(s.order, c.mruShift)
 	bit := uint16(1) << w
 	line := base + w
 	if c.tags[line] != 0 {

@@ -17,6 +17,7 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/lru"
 	"repro/internal/mem"
 	"repro/internal/prefetch"
 )
@@ -114,6 +115,13 @@ func (c Config) Validate() error {
 	if c.FTEntries <= 0 || c.ATEntries <= 0 || c.PHTEntries <= 0 || c.PBEntries <= 0 {
 		return fmt.Errorf("core: table sizes must be positive")
 	}
+	// Every table is a prefetch.Table; the DPCT is one fully-associative set.
+	ways := []int{c.FTWays, c.ATWays, c.PHTWays, c.DPCTEntries}
+	for i, name := range []string{"FTWays", "ATWays", "PHTWays", "DPCTEntries"} {
+		if ways[i] < 1 || ways[i] > lru.MaxWays {
+			return fmt.Errorf("core: %s must be in [1,%d], got %d", name, lru.MaxWays, ways[i])
+		}
+	}
 	if c.FTEntries%c.FTWays != 0 || c.ATEntries%c.ATWays != 0 || c.PHTEntries%c.PHTWays != 0 {
 		return fmt.Errorf("core: entries must divide evenly into ways")
 	}
@@ -166,7 +174,7 @@ type Gaze struct {
 	ft   *prefetch.Table[ftEntry]
 	at   *prefetch.Table[atEntry]
 	pht  *prefetch.Table[phtEntry]
-	dpct *dpct
+	dpct *prefetch.Table[struct{}] // one set; hashed PCs are the tags
 	dc   *denseCounter
 	pb   *prefetchBuffer
 
@@ -216,7 +224,7 @@ func New(cfg Config) *Gaze {
 		ft:     prefetch.NewTable[ftEntry](pow2Sets(cfg.FTEntries, cfg.FTWays), cfg.FTWays),
 		at:     prefetch.NewTable[atEntry](pow2Sets(cfg.ATEntries, cfg.ATWays), cfg.ATWays),
 		pht:    prefetch.NewTable[phtEntry](pow2Sets(cfg.PHTEntries, cfg.PHTWays), cfg.PHTWays),
-		dpct:   newDPCT(cfg.DPCTEntries),
+		dpct:   prefetch.NewTable[struct{}](1, cfg.DPCTEntries),
 		dc:     newDenseCounter(),
 		pb:     newPrefetchBuffer(cfg.PBEntries, cfg.RegionSize/mem.LineSize),
 
@@ -442,8 +450,10 @@ func (g *Gaze) streamingStage1(e *atEntry) {
 	if head < 2 {
 		head = 2
 	}
+	// A DPCT hit refreshes the PC's recency.
+	_, densePC := g.dpct.Lookup(0, uint64(e.hashedPC))
 	switch {
-	case g.dpct.contains(e.hashedPC) || g.dc.full():
+	case densePC || g.dc.full():
 		// Confident: first quarter to L1D, the rest to L2C.
 		g.stats.Stage1Full++
 		for off := 0; off < head; off++ {
@@ -522,7 +532,7 @@ func (g *Gaze) learn(e *atEntry) {
 		// Spatial-streaming detection: was the region entirely requested?
 		if e.bits.full(g.blocks) {
 			g.stats.DenseLearned++
-			g.dpct.record(e.hashedPC)
+			g.dpct.Insert(0, uint64(e.hashedPC), struct{}{})
 			g.dc.increment()
 		} else {
 			g.dc.decrement()

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/mem"
@@ -271,7 +272,7 @@ func TestStage2StridePromotion(t *testing.T) {
 		// Ensure we are exactly in the half-confident band for this test.
 		g.dc.v = 4
 	}
-	g.dpct = newDPCT(8) // forget dense PCs so stage 1 uses DC only
+	g.dpct = prefetch.NewTable[struct{}](1, 8) // forget dense PCs so stage 1 uses DC only
 
 	c2 := &collect{}
 	page := uint64(0x40000)
@@ -487,19 +488,28 @@ func TestConfigValidation(t *testing.T) {
 			t.Errorf("case %d: invalid config accepted", i)
 		}
 	}
+	// Table ways outside [1,16] are errors naming the field, not a
+	// divide-by-zero in Validate or an index panic in the first Train.
+	for _, c := range []struct {
+		field  string
+		mutate func(*Config)
+	}{
+		{"FTWays", func(c *Config) { c.FTWays = 0 }},
+		{"ATWays", func(c *Config) { c.ATWays = 0 }},
+		{"PHTWays", func(c *Config) { c.PHTWays = 0 }},
+		{"PHTWays", func(c *Config) { c.PHTEntries, c.PHTWays = 256, 32 }},
+		{"FTWays", func(c *Config) { c.FTEntries, c.FTWays = 64, 64 }},
+		{"DPCTEntries", func(c *Config) { c.DPCTEntries = 0 }},
+		{"DPCTEntries", func(c *Config) { c.DPCTEntries = 17 }},
+	} {
+		cfg := DefaultConfig()
+		c.mutate(&cfg)
+		if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("%s out of range: Validate = %v, want an error naming it", c.field, err)
+		}
+	}
 	if err := DefaultConfig().Validate(); err != nil {
 		t.Errorf("default config rejected: %v", err)
-	}
-}
-
-func TestDPCTEvictsLRU(t *testing.T) {
-	d := newDPCT(2)
-	d.record(1)
-	d.record(2)
-	d.contains(1) // refresh 1
-	d.record(3)   // evicts 2
-	if !d.contains(1) || d.contains(2) || !d.contains(3) {
-		t.Error("DPCT LRU eviction wrong")
 	}
 }
 
@@ -582,5 +592,39 @@ func TestPrefetchBufferDrainBound(t *testing.T) {
 	}
 	if pb.len() != 0 {
 		t.Errorf("pb.len = %d after full drain", pb.len())
+	}
+}
+
+// TestDefaultConfigMatchesReference pins DefaultConfig, and the tables
+// New builds from it, to the sizes and ways of DESIGN.md §3's map of
+// Gaze's structures to the reference implementation. The PB is a FIFO
+// ring here, so only its entry count is pinned.
+func TestDefaultConfigMatchesReference(t *testing.T) {
+	cfg := DefaultConfig()
+	g := New(cfg)
+	for _, c := range []struct {
+		name                 string
+		entries, ways        int
+		cfgEntries, cfgWays  int
+		tableSets, tableWays int
+	}{
+		{"FT", 64, 8, cfg.FTEntries, cfg.FTWays, g.ft.Sets(), g.ft.Ways()},
+		{"AT", 64, 8, cfg.ATEntries, cfg.ATWays, g.at.Sets(), g.at.Ways()},
+		{"PHT", 256, 4, cfg.PHTEntries, cfg.PHTWays, g.pht.Sets(), g.pht.Ways()},
+		{"DPCT", 8, 8, cfg.DPCTEntries, cfg.DPCTEntries, g.dpct.Sets(), g.dpct.Ways()},
+	} {
+		if c.cfgEntries != c.entries || c.cfgWays != c.ways {
+			t.Errorf("%s: DefaultConfig has %d entries × %d ways, the map says %d × %d", c.name, c.cfgEntries, c.cfgWays, c.entries, c.ways)
+		}
+		if c.tableSets*c.tableWays != c.entries || c.tableWays != c.ways {
+			t.Errorf("%s: New built %d sets × %d ways, want %d entries × %d ways", c.name, c.tableSets, c.tableWays, c.entries, c.ways)
+		}
+	}
+	if cfg.PBEntries != 32 {
+		t.Errorf("PB: DefaultConfig has %d entries, the map says 32", cfg.PBEntries)
+	}
+	if cfg.DenseFraction != 0.25 || cfg.PromoteDegree != 4 || cfg.PromoteSkip != 2 {
+		t.Errorf("thresholds: DenseFraction %v, PromoteDegree %d, PromoteSkip %d; the map says 0.25, 4, 2",
+			cfg.DenseFraction, cfg.PromoteDegree, cfg.PromoteSkip)
 	}
 }

@@ -82,11 +82,14 @@ func TestPropertyPHTOnlyMultiAccessPatterns(t *testing.T) {
 		}
 		g.EvictNotify(page * mem.PageSize)
 	}
-	g.pht.Range(func(_ int, _ uint64, v *phtEntry) {
-		if v.bits.popcount() < 2 {
-			t.Errorf("PHT holds a %d-bit pattern", v.bits.popcount())
-		}
-	})
+	for set := 0; set < g.pht.Sets(); set++ {
+		g.pht.ScanSet(set, func(_ uint64, v *phtEntry) bool {
+			if v.bits.popcount() < 2 {
+				t.Errorf("PHT holds a %d-bit pattern", v.bits.popcount())
+			}
+			return true
+		})
+	}
 }
 
 // TestPropertyDenseCounterBounded: the dense counter stays within its

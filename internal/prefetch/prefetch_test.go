@@ -77,19 +77,39 @@ func TestTableInvalidate(t *testing.T) {
 	}
 }
 
-func TestTableRangeAndClear(t *testing.T) {
+func TestTableScanSetAndLen(t *testing.T) {
 	tb := NewTable[int](4, 2)
 	tb.Insert(0, 1, 10)
 	tb.Insert(1, 2, 20)
 	tb.Insert(2, 3, 30)
 	sum := 0
-	tb.Range(func(_ int, _ uint64, v *int) { sum += *v })
-	if sum != 60 {
-		t.Errorf("Range sum = %d, want 60", sum)
+	for s := 0; s < tb.Sets(); s++ {
+		tb.ScanSet(s, func(_ uint64, v *int) bool { sum += *v; return true })
 	}
-	tb.Clear()
-	if tb.Len() != 0 {
-		t.Errorf("Len after Clear = %d", tb.Len())
+	if sum != 60 {
+		t.Errorf("ScanSet sum = %d, want 60", sum)
+	}
+	tb.Invalidate(1, 2)
+	if tb.Len() != 2 {
+		t.Errorf("Len after Invalidate = %d, want 2", tb.Len())
+	}
+}
+
+// TestTableDPCTEvictsLRU is Gaze's DPCT use: a one-set table of hashed
+// PCs, where a hit refreshes a PC and a new PC evicts the LRU one.
+func TestTableDPCTEvictsLRU(t *testing.T) {
+	d := NewTable[struct{}](1, 2)
+	d.Insert(0, 1, struct{}{})
+	d.Insert(0, 2, struct{}{})
+	d.Lookup(0, 1)                                  // refresh 1
+	if _, was := d.Insert(0, 3, struct{}{}); !was { // evicts 2
+		t.Error("full DPCT did not evict")
+	}
+	_, has1 := d.Lookup(0, 1)
+	_, has2 := d.Lookup(0, 2)
+	_, has3 := d.Lookup(0, 3)
+	if !has1 || has2 || !has3 {
+		t.Errorf("DPCT holds 1:%v 2:%v 3:%v, want 1 and 3", has1, has2, has3)
 	}
 }
 
@@ -102,7 +122,7 @@ func TestTableSetMasking(t *testing.T) {
 }
 
 func TestTablePanicsOnBadGeometry(t *testing.T) {
-	for _, c := range []struct{ sets, ways int }{{0, 1}, {3, 1}, {4, 0}} {
+	for _, c := range []struct{ sets, ways int }{{0, 1}, {3, 1}, {4, 0}, {4, 17}} {
 		func() {
 			defer func() {
 				if recover() == nil {
