@@ -463,11 +463,12 @@ func (c *Coordinator) Execute(ctx context.Context, js []engine.Job, progress fun
 	var order []string
 	pending := make(map[string]*planned)
 	for i, j := range js {
-		if res, ok := c.eng.Lookup(j); ok {
-			b.complete([]int{i}, res, true, j.String(), j.ContentAddress(scale))
+		key := j.CanonicalJSON(scale)
+		addr := engine.AddressOfKey(key)
+		if res, ok := c.eng.Lookup(key); ok {
+			b.complete([]int{i}, res, true, j.String(), addr)
 			continue
 		}
-		addr := j.ContentAddress(scale)
 		p := pending[addr]
 		if p == nil {
 			p = &planned{job: j}

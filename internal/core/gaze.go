@@ -125,6 +125,14 @@ func (c Config) Validate() error {
 	if c.FTEntries%c.FTWays != 0 || c.ATEntries%c.ATWays != 0 || c.PHTEntries%c.PHTWays != 0 {
 		return fmt.Errorf("core: entries must divide evenly into ways")
 	}
+	// Set indices are masks, so each table's set count must be a power of
+	// two: New then builds exactly the size StorageBreakdown reports.
+	sets := []int{c.FTEntries / c.FTWays, c.ATEntries / c.ATWays, c.PHTEntries / c.PHTWays}
+	for i, name := range []string{"FTEntries/FTWays", "ATEntries/ATWays", "PHTEntries/PHTWays"} {
+		if sets[i]&(sets[i]-1) != 0 {
+			return fmt.Errorf("core: %s must be a power of two, got %d sets", name, sets[i])
+		}
+	}
 	return nil
 }
 
@@ -221,9 +229,9 @@ func New(cfg Config) *Gaze {
 		cfg:    cfg,
 		blocks: cfg.RegionSize / mem.LineSize,
 		shift:  shift,
-		ft:     prefetch.NewTable[ftEntry](pow2Sets(cfg.FTEntries, cfg.FTWays), cfg.FTWays),
-		at:     prefetch.NewTable[atEntry](pow2Sets(cfg.ATEntries, cfg.ATWays), cfg.ATWays),
-		pht:    prefetch.NewTable[phtEntry](pow2Sets(cfg.PHTEntries, cfg.PHTWays), cfg.PHTWays),
+		ft:     prefetch.NewTable[ftEntry](cfg.FTEntries/cfg.FTWays, cfg.FTWays),
+		at:     prefetch.NewTable[atEntry](cfg.ATEntries/cfg.ATWays, cfg.ATWays),
+		pht:    prefetch.NewTable[phtEntry](cfg.PHTEntries/cfg.PHTWays, cfg.PHTWays),
 		dpct:   prefetch.NewTable[struct{}](1, cfg.DPCTEntries),
 		dc:     newDenseCounter(),
 		pb:     newPrefetchBuffer(cfg.PBEntries, cfg.RegionSize/mem.LineSize),
@@ -236,15 +244,6 @@ func New(cfg Config) *Gaze {
 
 // reuseSlots sizes the direct-mapped region-reuse tracker (power of two).
 const reuseSlots = 256
-
-func pow2Sets(entries, ways int) int {
-	sets := entries / ways
-	p := 1
-	for p < sets {
-		p <<= 1
-	}
-	return p
-}
 
 // Name implements prefetch.Prefetcher.
 func (g *Gaze) Name() string {

@@ -501,6 +501,11 @@ func TestConfigValidation(t *testing.T) {
 		{"FTWays", func(c *Config) { c.FTEntries, c.FTWays = 64, 64 }},
 		{"DPCTEntries", func(c *Config) { c.DPCTEntries = 0 }},
 		{"DPCTEntries", func(c *Config) { c.DPCTEntries = 17 }},
+		// A set count that is not a power of two would index a larger
+		// table than StorageBreakdown reports.
+		{"FTEntries/FTWays", func(c *Config) { c.FTEntries = 48 }},
+		{"ATEntries/ATWays", func(c *Config) { c.ATEntries, c.ATWays = 96, 8 }},
+		{"PHTEntries/PHTWays", func(c *Config) { c.PHTEntries = 384 }},
 	} {
 		cfg := DefaultConfig()
 		c.mutate(&cfg)

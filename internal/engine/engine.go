@@ -455,13 +455,12 @@ func (e *Engine) Stats() Stats {
 	}
 }
 
-// Lookup returns the already-computed result for a job — from the
-// in-process memo or the persisted store — without ever simulating.
-// It is the read-only probe the analytics layer aggregates over: an
-// analytics request must reflect completed work, never trigger new work.
-// Counters are untouched; Lookup is monitoring-neutral.
-func (e *Engine) Lookup(j Job) (sim.Result, bool) {
-	key := j.CanonicalJSON(e.scale)
+// Lookup returns the already-computed result for a canonical job key
+// (Job.CanonicalJSON) — from the in-process memo or the persisted store —
+// without ever simulating. It is the read-only probe the analytics layer
+// aggregates over: an analytics request must reflect completed work, never
+// trigger new work. Counters are untouched; Lookup is monitoring-neutral.
+func (e *Engine) Lookup(key string) (sim.Result, bool) {
 	e.mu.Lock()
 	r, ok := e.memo[key]
 	e.mu.Unlock()
@@ -476,20 +475,19 @@ func (e *Engine) Lookup(j Job) (sim.Result, bool) {
 	return sim.Result{}, false
 }
 
-// Has reports whether a job's result is already available, from the memo
-// or a store stat alone — cheaper than Lookup when only existence
-// matters (ETag computation probes every grid cell on every analytics
-// request). Like Store.Has it can answer true for a corrupt store entry
-// until a read heals it; Lookup remains authoritative.
-func (e *Engine) Has(j Job) bool {
-	key := j.CanonicalJSON(e.scale)
+// HasKey reports whether the result for a canonical job key is already
+// available: a memo probe by key, else a store stat at addr, the key's
+// content address (AddressOfKey). Callers that probe the same cells on
+// every request — analytics ETags — keep both precomputed, so a probe
+// encodes and hashes nothing. The stat is not cached: other processes
+// sharing the store directory complete results too. Like Store.Has it can
+// answer true for a corrupt store entry until a read heals it; Lookup
+// remains authoritative.
+func (e *Engine) HasKey(key, addr string) bool {
 	e.mu.Lock()
 	_, ok := e.memo[key]
 	e.mu.Unlock()
-	if ok {
-		return true
-	}
-	return e.store != nil && e.store.Has(key)
+	return ok || e.store != nil && e.store.Has(addr)
 }
 
 // Run executes one job, deduplicated three ways: concurrent identical jobs

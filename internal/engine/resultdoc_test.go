@@ -39,25 +39,25 @@ func TestResultDocumentRoundTrip(t *testing.T) {
 		t.Error("ImportResult round-trip changed the record")
 	}
 
-	// A fresh engine adopts the document: Lookup and Has see it without
+	// A fresh engine adopts the document: Lookup and HasKey see it without
 	// simulating, and the store write is the same bytes Put would emit.
 	adoptStore, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	e2 := New(Options{Scale: tiny, Store: adoptStore})
-	if _, ok := e2.Lookup(job); ok {
+	if _, ok := e2.Lookup(key); ok {
 		t.Fatal("fresh engine already has the result")
 	}
-	if e2.Has(job) {
+	if e2.HasKey(key, addr) {
 		t.Fatal("fresh engine claims to have the result")
 	}
 	e2.Adopt(key, res)
-	got, ok := e2.Lookup(job)
+	got, ok := e2.Lookup(key)
 	if !ok || !reflect.DeepEqual(got, res) {
 		t.Error("Lookup after Adopt did not return the adopted result")
 	}
-	if !e2.Has(job) || !adoptStore.Has(key) {
+	if !e2.HasKey(key, addr) || !adoptStore.Has(addr) {
 		t.Error("Has after Adopt is false")
 	}
 	if c := e2.Counters(); c.Simulated != 0 {
@@ -66,7 +66,7 @@ func TestResultDocumentRoundTrip(t *testing.T) {
 
 	// A third engine sharing the store Lookups through disk alone.
 	e3 := New(Options{Scale: tiny, Store: adoptStore})
-	if got, ok := e3.Lookup(job); !ok || !reflect.DeepEqual(got, res) {
+	if got, ok := e3.Lookup(key); !ok || !reflect.DeepEqual(got, res) {
 		t.Error("Lookup through the store missed the adopted result")
 	}
 }

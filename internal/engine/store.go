@@ -96,9 +96,14 @@ func hashKey(key string) string {
 	return hex.EncodeToString(sum[:])
 }
 
-func (s *Store) path(key string) string {
-	h := hashKey(key)
-	return filepath.Join(s.dir, h[:2], h[2:]+".json")
+func (s *Store) path(key string) string { return s.addrPath(hashKey(key)) }
+
+// addrPath returns the record path for a content address. One
+// concatenation, not filepath.Join: analytics revalidation stats a path
+// per grid cell on every request.
+func (s *Store) addrPath(addr string) string {
+	const sep = string(filepath.Separator)
+	return s.dir + sep + addr[:2] + sep + addr[2:] + ".json"
 }
 
 // Get returns the persisted result for key. Corrupted, stale-version or
@@ -170,12 +175,15 @@ func WriteFileAtomic(path string, data []byte) error {
 // incrementally after).
 func (s *Store) Len() int { return int(s.entries.Load()) }
 
-// Has reports whether an entry for key is present on disk, from a stat
-// alone. It does not validate the record's version or key the way Get
-// does, so a corrupt entry can answer true until a Get heals it — callers
-// wanting the result itself must still Get (or Engine.Lookup).
-func (s *Store) Has(key string) bool {
-	_, err := os.Stat(s.path(key))
+// Has reports whether an entry for a content address is present on disk,
+// from a stat alone. It does not validate the record's version or key the
+// way Get does, so a corrupt entry can answer true until a Get heals it —
+// callers wanting the result itself must still Get (or Engine.Lookup).
+func (s *Store) Has(addr string) bool {
+	if !isAddress(addr) {
+		return false
+	}
+	_, err := os.Stat(s.addrPath(addr))
 	return err == nil
 }
 
@@ -248,7 +256,7 @@ func (s *Store) Remove(addr string) (reclaimed int64, existed bool) {
 	if !isAddress(addr) {
 		return 0, false
 	}
-	p := filepath.Join(s.dir, addr[:2], addr[2:]+".json")
+	p := s.addrPath(addr)
 	info, err := os.Stat(p)
 	if err != nil {
 		return 0, false

@@ -1,6 +1,7 @@
 package prefetchers
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/mem"
@@ -471,6 +472,20 @@ func TestParametricNameStructuralValidation(t *testing.T) {
 		p, err := New(name)
 		if err == nil {
 			t.Errorf("New(%q) = %T, want error", name, p)
+		}
+	}
+}
+
+func TestGazePHTSizeMustGivePowerOfTwoSets(t *testing.T) {
+	// 384 entries over 4 ways is 96 sets: rejected with the field named,
+	// rather than built as a 512-entry table reported as 384.
+	_, err := New("Gaze-PHT384")
+	if err == nil || !strings.Contains(err.Error(), "PHTEntries/PHTWays") {
+		t.Errorf("New(Gaze-PHT384) = %v, want an error naming PHTEntries/PHTWays", err)
+	}
+	for _, name := range []string{"Gaze-PHT128", "Gaze-PHT512", "Gaze-PHT1024"} {
+		if _, err := New(name); err != nil {
+			t.Errorf("New(%q) = %v, want ok", name, err)
 		}
 	}
 }

@@ -18,9 +18,10 @@
 // The ETag is derived from the result-set address plus the sorted subset
 // of addresses whose results exist, so it changes exactly when new
 // underlying results complete (or are GC'd) and a matching If-None-Match
-// answers 304 without touching a single record. Assembled documents are
-// cached in-process per (endpoint, result set); the cache holds a ref on
-// every address backing a cached document, which result-store GC honors.
+// answers 304 without touching a single record. Each URL's compiled grid
+// and assembled document are cached in-process per (endpoint, raw query);
+// the cache holds a ref on every address backing a cached document, which
+// result-store GC honors.
 package server
 
 import (
@@ -29,8 +30,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"net/url"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -40,6 +43,7 @@ import (
 	"repro/internal/prefetchers"
 	"repro/internal/sim"
 	"repro/internal/stats"
+	"repro/internal/workload"
 )
 
 // AnalyticsSchemaVersion stamps the analytics document shape, like
@@ -125,7 +129,7 @@ var analyticsQueryParams = map[string]bool{
 // compiler. List-valued parameters are comma-separated; prefetchers
 // defaults to the paper's full evaluated roster.
 func parseAnalyticsQuery(q url.Values, allowAxis bool) (SweepRequest, error) {
-	for k := range q {
+	for _, k := range slices.Sorted(maps.Keys(q)) { // sorted: one error per URL
 		if !analyticsQueryParams[k] {
 			return SweepRequest{}, fmt.Errorf("unknown query parameter %q (want suite, traces, prefetchers, param, values)", k)
 		}
@@ -187,69 +191,91 @@ func resultSetAddress(addrs []string) string {
 }
 
 // analyticsView is one compiled analytics request: the grid, the per-job
-// content addresses (aligned with grid.jobs), and the sorted unique
-// address set with its content address.
+// content addresses (aligned with grid.jobs), the sorted unique address
+// set with its content address, and each unique address's canonical job
+// key (aligned with unique). A view depends only on the query and the
+// engine's scale, so it is compiled once per URL and cached with the
+// document: revalidating from it encodes and hashes no job again.
 type analyticsView struct {
 	grid      *sweepGrid
 	addrs     []string
 	unique    []string // sorted, deduped
+	keys      []string // canonical job keys, aligned with unique
 	resultSet string
 }
 
-func (s *Server) compileAnalytics(r *http.Request, allowAxis bool) (*analyticsView, error) {
-	req, err := parseAnalyticsQuery(r.URL.Query(), allowAxis)
+func compileAnalytics(scale engine.Scale, q url.Values, allowAxis bool) (*analyticsView, error) {
+	req, err := parseAnalyticsQuery(q, allowAxis)
 	if err != nil {
 		return nil, err
 	}
-	grid, err := compileSweepGrid(s.eng.Scale(), req)
+	grid, err := compileSweepGrid(scale, req)
 	if err != nil {
 		return nil, err
 	}
-	scale := s.eng.Scale()
 	v := &analyticsView{grid: grid, addrs: make([]string, len(grid.jobs))}
-	seen := make(map[string]bool, len(grid.jobs))
+	keyOf := make(map[string]string, len(grid.jobs))
 	for i, j := range grid.jobs {
-		v.addrs[i] = j.ContentAddress(scale)
-		if !seen[v.addrs[i]] {
-			seen[v.addrs[i]] = true
+		key := j.CanonicalJSON(scale)
+		v.addrs[i] = engine.AddressOfKey(key)
+		if _, ok := keyOf[v.addrs[i]]; !ok {
+			keyOf[v.addrs[i]] = key
 			v.unique = append(v.unique, v.addrs[i])
 		}
 	}
 	sort.Strings(v.unique)
+	v.keys = make([]string, len(v.unique))
+	for i, addr := range v.unique {
+		v.keys[i] = keyOf[addr]
+	}
 	v.resultSet = resultSetAddress(v.unique)
 	return v, nil
 }
 
-// completedSet probes every unique address of the view — memo first,
-// then a store stat — and returns the sorted subset whose results exist.
-// jobByAddr maps an address back to one representative job so the
-// rebuild path can Lookup the actual records.
-func (v *analyticsView) completedSet(eng *engine.Engine) (completed []string, jobByAddr map[string]engine.Job) {
-	jobByAddr = make(map[string]engine.Job, len(v.unique))
-	for i, j := range v.grid.jobs {
-		if _, ok := jobByAddr[v.addrs[i]]; !ok {
-			jobByAddr[v.addrs[i]] = j
+// viewFor returns the compiled view for an analytics URL: the cached one,
+// re-checked for what can change after compilation (a trace deleted from
+// the registry answers 400 as on a cold server), or a fresh compile,
+// cached on success.
+func (s *Server) viewFor(key string, r *http.Request, allowAxis bool) (*analyticsView, error) {
+	if v := s.analytics.view(key); v != nil {
+		for _, tr := range v.grid.traces {
+			if !workload.Exists(tr) {
+				return nil, fmt.Errorf("unknown trace %q", tr)
+			}
 		}
+		return v, nil
 	}
-	for _, addr := range v.unique { // already sorted
-		if eng.Has(jobByAddr[addr]) {
-			completed = append(completed, addr)
-		}
+	v, err := compileAnalytics(s.eng.Scale(), r.URL.Query(), allowAxis)
+	if err != nil {
+		return nil, err
 	}
-	return completed, jobByAddr
+	s.analytics.put(key, v, "", nil, nil)
+	return v, nil
 }
 
-// analyticsETag derives the strong ETag: a hash of the result-set
-// address plus the completed subset. For a fixed URL the result set is
-// fixed, so the ETag changes iff the set of completed underlying results
-// changes.
-func analyticsETag(resultSet string, completed []string) string {
+// completed probes every unique cell — the memo by its stored key, else a
+// store stat at its stored address — and returns the indices into unique
+// whose results exist, in address order.
+func (v *analyticsView) completed(eng *engine.Engine) []int {
+	var done []int
+	for i, addr := range v.unique {
+		if eng.HasKey(v.keys[i], addr) {
+			done = append(done, i)
+		}
+	}
+	return done
+}
+
+// etag derives the strong ETag: a hash of the result-set address plus the
+// completed subset. For a fixed URL the result set is fixed, so the ETag
+// changes iff the set of completed underlying results changes.
+func (v *analyticsView) etag(done []int) string {
 	h := sha256.New()
 	io.WriteString(h, "analytics-etag/v1\n")
-	io.WriteString(h, resultSet)
+	io.WriteString(h, v.resultSet)
 	io.WriteString(h, "\n")
-	for _, a := range completed {
-		io.WriteString(h, a)
+	for _, i := range done {
+		io.WriteString(h, v.unique[i])
 		io.WriteString(h, "\n")
 	}
 	return `"` + hex.EncodeToString(h.Sum(nil)) + `"`
@@ -268,10 +294,11 @@ func etagMatches(header, etag string) bool {
 	return false
 }
 
-// analyticsCache holds assembled documents per (endpoint, result set),
-// invalidated by ETag: a cached document is served only while the
-// completed-set hash it was built from still matches. Entries are capped
-// and evicted least-recently-used; the zero value is ready to use.
+// analyticsCache holds one entry per (endpoint, raw query): the URL's
+// compiled view and the last document assembled for it, invalidated by
+// ETag — a cached document is served only while the completed-set hash it
+// was built from still matches. Entries are capped and evicted
+// least-recently-used; the zero value is ready to use.
 type analyticsCache struct {
 	mu      sync.Mutex
 	entries map[string]*analyticsEntry
@@ -281,15 +308,29 @@ type analyticsCache struct {
 }
 
 type analyticsEntry struct {
-	etag    string
+	view    *analyticsView
+	etag    string // "" until a document is built
 	body    []byte
 	refs    []string // completed addresses backing body — GC ref source
 	lastUse uint64
 }
 
-// maxAnalyticsEntries bounds the document cache. Documents are a few KB
-// to a few hundred KB; 128 of them is dashboard-plenty and memory-cheap.
+// maxAnalyticsEntries bounds the cache. Documents are a few KB to a few
+// hundred KB; 128 of them is dashboard-plenty and memory-cheap.
 const maxAnalyticsEntries = 128
+
+// view returns the compiled view cached for key, or nil.
+func (c *analyticsCache) view(key string) *analyticsView {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e, ok := c.entries[key]
+	if !ok {
+		return nil
+	}
+	c.clock++
+	e.lastUse = c.clock
+	return e.view
+}
 
 // get returns the cached document for key if it was built from exactly
 // the given etag.
@@ -307,14 +348,14 @@ func (c *analyticsCache) get(key, etag string) ([]byte, bool) {
 	return e.body, true
 }
 
-func (c *analyticsCache) put(key, etag string, body []byte, refs []string) {
+func (c *analyticsCache) put(key string, v *analyticsView, etag string, body []byte, refs []string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.entries == nil {
 		c.entries = make(map[string]*analyticsEntry)
 	}
 	c.clock++
-	c.entries[key] = &analyticsEntry{etag: etag, body: body, refs: refs, lastUse: c.clock}
+	c.entries[key] = &analyticsEntry{view: v, etag: etag, body: body, refs: refs, lastUse: c.clock}
 	for len(c.entries) > maxAnalyticsEntries {
 		var (
 			victimKey string
@@ -367,22 +408,23 @@ func (s *Server) handleAnalyticsSpeedup(w http.ResponseWriter, r *http.Request) 
 }
 
 func (s *Server) serveAnalytics(w http.ResponseWriter, r *http.Request, allowAxis bool, endpoint string, build analyticsAssemble) {
-	v, err := s.compileAnalytics(r, allowAxis)
+	key := endpoint + "\x00" + r.URL.RawQuery
+	v, err := s.viewFor(key, r, allowAxis)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	completed, jobByAddr := v.completedSet(s.eng)
-	etag := analyticsETag(v.resultSet, completed)
+	done := v.completed(s.eng)
+	etag := v.etag(done)
 	w.Header().Set("ETag", etag)
 	// Pure read, revalidate-cheaply: intermediaries may cache but must
-	// ask again, and the ask is a stat-only 304 most of the time.
+	// ask again, and the ask is a 304 from one memo probe or store stat
+	// per cell most of the time.
 	w.Header().Set("Cache-Control", "public, no-cache")
 	if inm := r.Header.Get("If-None-Match"); inm != "" && etagMatches(inm, etag) {
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
-	key := endpoint + "\x00" + v.resultSet
 	if body, ok := s.analytics.get(key, etag); ok {
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusOK)
@@ -394,12 +436,12 @@ func (s *Server) serveAnalytics(w http.ResponseWriter, r *http.Request, allowAxi
 	// and the read) drops out of the completed set here; the document
 	// stays coherent with itself, merely one revalidation staler than the
 	// ETag, and the next request re-derives both.
-	results := make(map[string]sim.Result, len(completed))
-	refs := completed[:0:0]
-	for _, addr := range completed {
-		if res, ok := s.eng.Lookup(jobByAddr[addr]); ok {
-			results[addr] = res
-			refs = append(refs, addr)
+	results := make(map[string]sim.Result, len(done))
+	refs := make([]string, 0, len(done))
+	for _, i := range done {
+		if res, ok := s.eng.Lookup(v.keys[i]); ok {
+			results[v.unique[i]] = res
+			refs = append(refs, v.unique[i])
 		}
 	}
 	doc := build(v, etag, results)
@@ -408,7 +450,7 @@ func (s *Server) serveAnalytics(w http.ResponseWriter, r *http.Request, allowAxi
 		httpError(w, http.StatusInternalServerError, "encoding analytics document: %v", err)
 		return
 	}
-	s.analytics.put(key, etag, body, refs)
+	s.analytics.put(key, v, etag, body, refs)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	w.Write(body) //nolint:errcheck // client disconnects are routine

@@ -6,10 +6,15 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/prefetchers"
+	"repro/internal/sim"
+	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 // newHTTPServer serves an assembled *Server for tests that need direct
@@ -181,8 +186,8 @@ func TestAnalyticsETagGolden(t *testing.T) {
 
 // TestAnalyticsResultSetPermutationInvariant pins result-set addressing:
 // the address names the *set* of underlying jobs, so any spelling of the
-// same grid — reordered trace or prefetcher lists — is one result set
-// (and one cache entry), while a different grid is a different set.
+// same grid — reordered trace or prefetcher lists — is one result set,
+// while a different grid is a different set.
 func TestAnalyticsResultSetPermutationInvariant(t *testing.T) {
 	ts := newTestServer(t)
 	get := func(query string) MatrixResponse {
@@ -388,7 +393,7 @@ func TestAnalyticsCacheConcurrent(t *testing.T) {
 func TestAnalyticsCacheLRUBound(t *testing.T) {
 	var c analyticsCache
 	for i := 0; i < maxAnalyticsEntries+32; i++ {
-		c.put(fmt.Sprintf("key-%d", i), `"tag"`, []byte("{}"), nil)
+		c.put(fmt.Sprintf("key-%d", i), nil, `"tag"`, []byte("{}"), nil)
 	}
 	if n, _, _ := c.counters(); n != maxAnalyticsEntries {
 		t.Fatalf("entries = %d, want cap %d", n, maxAnalyticsEntries)
@@ -450,4 +455,173 @@ func TestAnalyticsCacheHoldsGCRefs(t *testing.T) {
 	if stats.KeptReferenced == 0 || stats.Deleted == 0 {
 		t.Errorf("gc stats = %+v, want both kept-referenced and deleted entries", stats)
 	}
+}
+
+// TestAnalyticsEachSpellingOwnDocument: two spellings of one grid share
+// the result set and the ETag, but each URL is served the document a cold
+// server builds for it — its own trace and prefetcher order — never the
+// document cached for the other spelling.
+func TestAnalyticsEachSpellingOwnDocument(t *testing.T) {
+	ts := newTestServer(t)
+	get := func(query string) (MatrixResponse, string) {
+		t.Helper()
+		var doc MatrixResponse
+		r := getAnalytics(t, ts.URL+"/analytics/matrix?"+query, "", &doc)
+		if r.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status = %d", query, r.StatusCode)
+		}
+		return doc, r.Header.Get("ETag")
+	}
+	a, tagA := get("traces=lbm-1274,milc-127&prefetchers=Gaze,IP-stride")
+	b, tagB := get("traces=milc-127,lbm-1274&prefetchers=IP-stride,Gaze")
+	if a.ResultSet != b.ResultSet || tagA != tagB {
+		t.Fatalf("spellings of one grid: result_set %s/%s etag %s/%s, want equal", a.ResultSet, b.ResultSet, tagA, tagB)
+	}
+	for _, c := range []struct {
+		name      string
+		got, want []string
+	}{
+		{"first traces", a.Traces, []string{"lbm-1274", "milc-127"}},
+		{"first prefetchers", a.Prefetchers, []string{"Gaze", "IP-stride"}},
+		{"second traces", b.Traces, []string{"milc-127", "lbm-1274"}},
+		{"second prefetchers", b.Prefetchers, []string{"IP-stride", "Gaze"}},
+	} {
+		if fmt.Sprint(c.got) != fmt.Sprint(c.want) {
+			t.Errorf("%s = %v, want %v", c.name, c.got, c.want)
+		}
+	}
+	if b.Cells[0].Trace != "milc-127" || b.Cells[0].Prefetcher != "IP-stride" {
+		t.Errorf("second spelling's first cell = %s/%s, want milc-127/IP-stride", b.Cells[0].Trace, b.Cells[0].Prefetcher)
+	}
+}
+
+// TestAnalyticsDeletedTraceAnswers400: a URL naming an ingested trace
+// answers 200 while the trace is registered and, once it is deleted, 400
+// "unknown trace" — as a cold server does — even though the URL's
+// compiled view is cached.
+func TestAnalyticsDeletedTraceAnswers400(t *testing.T) {
+	ts, _ := newTraceTestServer(t, nil)
+	_, payload := externalTrace(t, "lbm-1274", 2_000, trace.FormatChampSimGz)
+	up, status := uploadTrace(t, ts, payload)
+	if status != http.StatusCreated {
+		t.Fatalf("upload status = %d", status)
+	}
+	url := ts.URL + "/analytics/matrix?traces=" + up.Name + "&prefetchers=Gaze"
+	if r := getAnalytics(t, url, "", &MatrixResponse{}); r.StatusCode != http.StatusOK {
+		t.Fatalf("before delete: status = %d, want 200", r.StatusCode)
+	}
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/traces/"+up.Address, nil)
+	r, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Body.Close()
+	if r.StatusCode != http.StatusNoContent {
+		t.Fatalf("delete status = %d", r.StatusCode)
+	}
+	r = getAnalytics(t, url, "", nil)
+	var body struct {
+		Error string `json:"error"`
+	}
+	json.NewDecoder(r.Body).Decode(&body) //nolint:errcheck
+	if r.StatusCode != http.StatusBadRequest || !strings.Contains(body.Error, "unknown trace") {
+		t.Fatalf("after delete: status %d error %q, want 400 unknown trace", r.StatusCode, body.Error)
+	}
+}
+
+// TestAnalyticsSeesOtherProcessResults pins the store stat: a second
+// engine on the same store directory (another gazesim, experiments or
+// gazeserve process) completes a cell, and the next request's ETag moves
+// and counts the cell complete although this engine's memo never saw it.
+func TestAnalyticsSeesOtherProcessResults(t *testing.T) {
+	dir := t.TempDir()
+	open := func() *engine.Engine {
+		st, err := engine.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return engine.New(engine.Options{Scale: tiny, Store: st})
+	}
+	ts := newHTTPServer(t, New(open()))
+	url := ts.URL + "/analytics/matrix?traces=lbm-1274&prefetchers=Gaze"
+	var before MatrixResponse
+	r := getAnalytics(t, url, "", &before)
+	tag := r.Header.Get("ETag")
+	if before.CellsComplete != 0 {
+		t.Fatalf("fresh store: cells_complete = %d", before.CellsComplete)
+	}
+
+	other := open()
+	job := engine.Job{Traces: []string{"lbm-1274"}, L1: []string{"Gaze"}}
+	other.RunAll([]engine.Job{job.Baseline(), job})
+
+	var after MatrixResponse
+	r = getAnalytics(t, url, tag, &after)
+	if r.StatusCode != http.StatusOK || r.Header.Get("ETag") == tag {
+		t.Fatalf("after another engine completed the cell: status %d, etag moved %v", r.StatusCode, r.Header.Get("ETag") != tag)
+	}
+	if after.CellsComplete != 1 || !after.Cells[0].Complete {
+		t.Fatalf("cells = %+v, want the cell complete", after.Cells)
+	}
+}
+
+// TestAnalyticsRevalidationAllocs: a warmed 304 over a paper-sized grid
+// (102 traces x 9 prefetchers + baselines = 1020 cells) probes each cell
+// with its stored key and address. Re-encoding or re-hashing the jobs per
+// request costs about 27 allocations a cell; a memo probe costs none and a
+// store stat a handful.
+func TestAnalyticsRevalidationAllocs(t *testing.T) {
+	dir := t.TempDir()
+	st, err := engine.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := engine.New(engine.Options{Scale: tiny, Store: st})
+	srv := New(eng)
+
+	var traces []string
+	for _, info := range workload.Catalogue()[:102] {
+		traces = append(traces, info.Name)
+	}
+	pfs := prefetchers.EvaluatedNames()
+	// Some cells complete in this engine's memo, some only in the store
+	// (written by another engine), the rest nowhere: each probe path runs.
+	other := engine.New(engine.Options{Scale: tiny, Store: st})
+	for i, tr := range traces[:20] {
+		key := engine.Job{Traces: []string{tr}, L1: []string{pfs[i%len(pfs)]}}.CanonicalJSON(tiny)
+		if i%2 == 0 {
+			eng.Adopt(key, sim.Result{})
+		} else {
+			other.Adopt(key, sim.Result{})
+		}
+	}
+
+	req := httptest.NewRequest(http.MethodGet,
+		"/analytics/matrix?traces="+strings.Join(traces, ",")+"&prefetchers="+strings.Join(pfs, ","), nil)
+	rec := httptest.NewRecorder()
+	srv.handleAnalyticsMatrix(rec, req)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("warm-up: status %d: %s", rec.Code, rec.Body)
+	}
+	var doc MatrixResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	cells := len(traces) * (len(pfs) + 1)
+	if doc.CellsTotal != len(traces)*len(pfs) {
+		t.Fatalf("cells_total = %d", doc.CellsTotal)
+	}
+	req.Header.Set("If-None-Match", rec.Header().Get("ETag"))
+
+	allocs := testing.AllocsPerRun(5, func() {
+		rec := httptest.NewRecorder()
+		srv.handleAnalyticsMatrix(rec, req)
+		if rec.Code != http.StatusNotModified {
+			t.Fatalf("revalidation: status %d, want 304", rec.Code)
+		}
+	})
+	if perCell := allocs / float64(cells); perCell > 8 {
+		t.Errorf("304 revalidation: %.0f allocations for %d cells (%.1f a cell), want at most 8 a cell", allocs, cells, perCell)
+	}
+	t.Logf("304 revalidation: %.0f allocations for %d cells", allocs, cells)
 }

@@ -39,8 +39,8 @@ type Server struct {
 	// requests, for DELETE /traces in-use protection.
 	inflight traceUse
 
-	// analytics caches assembled comparison matrices per result-set
-	// content address, behind the /analytics ETags.
+	// analytics caches each analytics URL's compiled grid and assembled
+	// comparison matrix, behind the /analytics ETags.
 	analytics analyticsCache
 
 	// admit rate-limits expensive compile paths per client (nil = no
