@@ -24,7 +24,7 @@
 //	DELETE /traces/{addr}       delete (409 while referenced by live work)
 //	GET  /prefetchers       the paper's evaluated prefetcher names
 //	GET  /stats             engine scale + cache counters + store size/schema + jobs counters
-//	GET  /metrics           the same counters in Prometheus text format
+//	GET  /metrics           the same /stats snapshot in Prometheus text format, plus latency histograms
 //	GET  /analytics/matrix  cached metric matrix over completed results (ETag/304)
 //	GET  /analytics/speedup cached speedup matrix + per-prefetcher geomeans (ETag/304)
 //	GET  /analytics/timeline           per-prefetcher interval-timeline overlay for one trace

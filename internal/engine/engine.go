@@ -423,38 +423,6 @@ func (e *Engine) Counters() Counters {
 	return e.counters
 }
 
-// Stats aggregates the engine's result-cache counters with the
-// process-wide materialized-trace cache (workload.Materialize): how many
-// trace slabs are resident, how often jobs were served one, and their
-// memory footprint. The trace cache is process-global — concurrent
-// engines share it — so these numbers describe the process, not one
-// engine instance.
-type Stats struct {
-	Counters            Counters `json:"counters"`
-	TraceCacheEntries   int      `json:"trace_cache_entries"`
-	TraceCacheHits      uint64   `json:"trace_cache_hits"`
-	TraceCacheMisses    uint64   `json:"trace_cache_misses"`
-	TraceCacheBytes     int64    `json:"trace_cache_bytes"`
-	TraceCacheMapped    int64    `json:"trace_cache_mapped_bytes"`
-	TraceCacheEvictions uint64   `json:"trace_cache_evictions"`
-	GC                  GCTotals `json:"gc"`
-}
-
-// Stats returns a snapshot of the engine and trace-cache counters.
-func (e *Engine) Stats() Stats {
-	tc := workload.TraceCacheStats()
-	return Stats{
-		Counters:            e.Counters(),
-		TraceCacheEntries:   tc.Entries,
-		TraceCacheHits:      tc.Hits,
-		TraceCacheMisses:    tc.Misses,
-		TraceCacheBytes:     tc.Bytes,
-		TraceCacheMapped:    tc.MappedBytes,
-		TraceCacheEvictions: tc.Evictions,
-		GC:                  e.GCTotals(),
-	}
-}
-
 // Lookup returns the already-computed result for a canonical job key
 // (Job.CanonicalJSON) — from the in-process memo or the persisted store —
 // without ever simulating. It is the read-only probe the analytics layer

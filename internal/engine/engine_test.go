@@ -233,13 +233,8 @@ func TestSweepGeneratesTraceOnce(t *testing.T) {
 	if st.Entries != 1 {
 		t.Errorf("trace cache holds %d entries, want 1", st.Entries)
 	}
-	stats := e.Stats()
-	if stats.TraceCacheMisses != 1 || stats.TraceCacheEntries != 1 {
-		t.Errorf("engine.Stats trace cache = %+v, want 1 miss / 1 entry", stats)
-	}
-	if stats.TraceCacheBytes != int64(tiny.TraceLen)*trace.RecordBytes {
-		t.Errorf("trace_cache_bytes = %d, want %d",
-			stats.TraceCacheBytes, int64(tiny.TraceLen)*trace.RecordBytes)
+	if st.Bytes != int64(tiny.TraceLen)*trace.RecordBytes {
+		t.Errorf("trace cache bytes = %d, want %d", st.Bytes, int64(tiny.TraceLen)*trace.RecordBytes)
 	}
 }
 

@@ -115,13 +115,18 @@ type SpeedupResponse struct {
 	GeomeanSpeedup map[string]float64            `json:"geomean_speedup"`
 }
 
-// analyticsQueryParams is the accepted query-parameter set. Unknown
-// parameters are rejected with a 400, mirroring the strict JSON decoding
-// of the POST endpoints: a typo'd parameter must not silently aggregate
-// a grid the client did not ask for.
-var analyticsQueryParams = map[string]bool{
-	"suite": true, "traces": true, "prefetchers": true,
-	"param": true, "values": true,
+// checkQueryParams rejects a query parameter outside allowed, naming the
+// sorted-first one so one URL always answers the same 400. The analytics
+// and timeline reads are this strict, mirroring the strict JSON decoding
+// of the POST endpoints: a typo'd parameter must not silently answer for
+// a query the client did not ask for.
+func checkQueryParams(q url.Values, allowed ...string) error {
+	for _, k := range slices.Sorted(maps.Keys(q)) {
+		if !slices.Contains(allowed, k) {
+			return fmt.Errorf("unknown query parameter %q (want %s)", k, strings.Join(allowed, ", "))
+		}
+	}
+	return nil
 }
 
 // parseAnalyticsQuery maps GET query parameters onto the same SweepRequest
@@ -129,10 +134,8 @@ var analyticsQueryParams = map[string]bool{
 // compiler. List-valued parameters are comma-separated; prefetchers
 // defaults to the paper's full evaluated roster.
 func parseAnalyticsQuery(q url.Values, allowAxis bool) (SweepRequest, error) {
-	for _, k := range slices.Sorted(maps.Keys(q)) { // sorted: one error per URL
-		if !analyticsQueryParams[k] {
-			return SweepRequest{}, fmt.Errorf("unknown query parameter %q (want suite, traces, prefetchers, param, values)", k)
-		}
+	if err := checkQueryParams(q, "suite", "traces", "prefetchers", "param", "values"); err != nil {
+		return SweepRequest{}, err
 	}
 	req := SweepRequest{
 		Suite:       q.Get("suite"),
@@ -388,11 +391,18 @@ func (c *analyticsCache) liveAddresses() map[string]bool {
 	return out
 }
 
-// counters returns (entries, hits, misses) for /metrics.
-func (c *analyticsCache) counters() (int, uint64, uint64) {
+// AnalyticsCacheStats is the analytics document cache's counter
+// snapshot, the /stats "analytics" block.
+type AnalyticsCacheStats struct {
+	Entries int    `json:"entries"`
+	Hits    uint64 `json:"hits"`
+	Misses  uint64 `json:"misses"`
+}
+
+func (c *analyticsCache) counters() AnalyticsCacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.entries), c.hits, c.misses
+	return AnalyticsCacheStats{Entries: len(c.entries), Hits: c.hits, Misses: c.misses}
 }
 
 // analyticsAssemble builds one endpoint's document from the view and the

@@ -395,7 +395,7 @@ func TestAnalyticsCacheLRUBound(t *testing.T) {
 	for i := 0; i < maxAnalyticsEntries+32; i++ {
 		c.put(fmt.Sprintf("key-%d", i), nil, `"tag"`, []byte("{}"), nil)
 	}
-	if n, _, _ := c.counters(); n != maxAnalyticsEntries {
+	if n := c.counters().Entries; n != maxAnalyticsEntries {
 		t.Fatalf("entries = %d, want cap %d", n, maxAnalyticsEntries)
 	}
 	// The most recent keys survive LRU eviction.

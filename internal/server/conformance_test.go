@@ -135,6 +135,10 @@ func TestHTTPConformance(t *testing.T) {
 			wantStatus: 404, wantJSONError: true},
 		{name: "timeline unknown param", method: "GET", path: "/results/" + missingAddr + "/timeline?bogus=1",
 			wantStatus: 400, wantJSONError: true},
+		// Of several unknown parameters, the sorted-first is named, never
+		// whichever map iteration yields first.
+		{name: "timeline unknown params sorted", method: "GET", path: "/results/" + missingAddr + "/timeline?b=1&a=1",
+			wantStatus: 400, wantJSONError: true, wantErrorContains: `parameter "a"`},
 		{name: "timeline unknown format", method: "GET", path: "/results/" + missingAddr + "/timeline?format=xml",
 			wantStatus: 400, wantJSONError: true},
 

@@ -74,9 +74,7 @@ func planFor(req any, plan *requestPlan, err error) (*jobs.Plan, error) {
 // decodeSpecJSON strict-decodes a raw spec body with the same
 // unknown-field rejection as the synchronous handlers.
 func decodeSpecJSON(raw json.RawMessage, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	if err := strictDecode(bytes.NewReader(raw), v); err != nil {
 		return fmt.Errorf("decoding request: %v", err)
 	}
 	return nil

@@ -12,6 +12,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/jobs"
 	"repro/internal/obs"
+	"repro/internal/traceset"
 )
 
 // lintPromText validates a Prometheus text-exposition document via the
@@ -82,6 +83,9 @@ func TestMetricsEndpoint(t *testing.T) {
 		"gaze_jobs_queued", "gaze_jobs_running", "gaze_jobs_succeeded_total",
 		"gaze_analytics_cache_entries", "gaze_analytics_cache_hits_total", "gaze_analytics_cache_misses_total",
 		"gaze_telemetry_sampling_interval_instructions", "gaze_telemetry_documents", "gaze_telemetry_bytes",
+		"gaze_store_schema_version", "gaze_jobs_recovered_total",
+		"gaze_scale_traces_per_suite", "gaze_scale_trace_records",
+		"gaze_scale_warmup_instructions", "gaze_scale_sim_instructions",
 	} {
 		if _, ok := before[name]; !ok {
 			t.Errorf("metric %s missing", name)
@@ -116,6 +120,67 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if after["gaze_store_entries"] != 0 {
 		t.Errorf("store entries after full GC = %v, want 0", after["gaze_store_entries"])
+	}
+}
+
+// TestMetricsMirrorStats: /metrics is the /stats snapshot rendered
+// through metricRows. With every subsystem attached (so no block is
+// null), each row's sample equals the snapshot's JSON value at its path,
+// and every numeric JSON path has a row — a StatsResponse field added
+// without one fails here.
+func TestMetricsMirrorStats(t *testing.T) {
+	store, err := engine.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := engine.New(engine.Options{Scale: tiny, Store: store})
+	mgr, err := jobs.Open(jobs.Options{Engine: eng, Compile: Compiler(eng), Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { mgr.Shutdown(context.Background()) }) //nolint:errcheck
+	reg, err := traceset.Open(t.TempDir(), traceset.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord := cluster.NewCoordinator(cluster.CoordinatorOptions{Engine: eng})
+	tracer := obs.NewTracer(obs.TracerOptions{Log: io.Discard})
+	srv := New(eng).AttachJobs(mgr).AttachTraces(reg).AttachCluster(coord).AttachTracer(tracer)
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	postJSON(t, ts.URL+"/simulate", SimulateRequest{Trace: "lbm-1274", Prefetcher: "Gaze"}, nil)
+
+	st := srv.stats()
+	var b strings.Builder
+	writeStatsProm(&b, st)
+	doc := lintPromText(t, b.String())
+	fields := statsFields(st)
+
+	rowFor := make(map[string]string, len(metricRows))
+	for _, m := range metricRows {
+		if _, dup := rowFor[m.path]; dup {
+			t.Errorf("path %s has two rows", m.path)
+		}
+		rowFor[m.path] = m.name
+		want, ok := fields[m.path]
+		if !ok {
+			t.Errorf("row %s: no numeric /stats field at path %q", m.name, m.path)
+			continue
+		}
+		if got, ok := doc.Samples[m.name]; !ok || got != want {
+			t.Errorf("%s = %v (present %v), want /stats %s = %v", m.name, got, ok, m.path, want)
+		}
+	}
+	for path := range fields {
+		if _, ok := rowFor[path]; !ok {
+			t.Errorf("/stats field %s has no /metrics row", path)
+		}
+	}
+	if len(doc.Samples) != len(metricRows) {
+		t.Errorf("rendered %d samples for %d rows", len(doc.Samples), len(metricRows))
+	}
+	if fields["counters.Simulated"] == 0 || fields["store_entries"] == 0 || fields["obs.trace_log_bytes"] == 0 {
+		t.Errorf("snapshot did not see the simulate: %v", fields)
 	}
 }
 

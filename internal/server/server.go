@@ -10,6 +10,7 @@ package server
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"time"
@@ -243,8 +244,10 @@ type SensitivityPoint struct {
 	GeomeanSpeedup float64 `json:"geomean_speedup"`
 }
 
-// StatsResponse reports engine cache effectiveness. StoreEntries is null
-// when no persisted store is configured and 0 when the store is empty —
+// StatsResponse is the service's one metrics snapshot: /stats serves it
+// as JSON and /metrics renders its numeric fields through metricRows, so
+// the two cannot disagree; a null block exports no series. StoreEntries
+// is null when no persisted store is configured and 0 when it is empty —
 // distinguishable states for monitoring clients. The trace_cache_*
 // fields describe the process-wide materialized-trace cache: how many
 // immutable record slabs are resident, how often jobs were served one
@@ -289,6 +292,9 @@ type StatsResponse struct {
 	// exist and their byte footprint. Always present — the engine always
 	// has a telemetry configuration, even when it is "off".
 	Telemetry engine.TelemetryStats `json:"telemetry"`
+	// Analytics counts the analytics document cache: cached documents,
+	// and requests served one versus assembling it. Always present.
+	Analytics AnalyticsCacheStats `json:"analytics"`
 }
 
 // StatsSchemaVersion stamps the /stats document shape. Bump it whenever
@@ -301,7 +307,8 @@ type StatsResponse struct {
 // v3: added "trace_cache_mapped_bytes" (mmap-backed slab accounting, PR 8).
 // v4: added "obs" (tracer span/ring/log counters, PR 9).
 // v5: added "telemetry" (interval-timeline documents and interval, PR 10).
-const StatsSchemaVersion = 5
+// v6: added "analytics" (analytics document cache entries, hits, misses).
+const StatsSchemaVersion = 6
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
@@ -342,25 +349,32 @@ func (s *Server) handlePrefetchers(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	stats := s.eng.Stats()
+	writeJSON(w, http.StatusOK, s.stats())
+}
+
+// stats takes the one snapshot /stats serves and /metrics renders: the
+// only place that queries subsystems and decides which blocks are null.
+func (s *Server) stats() StatsResponse {
+	tc := workload.TraceCacheStats()
 	resp := StatsResponse{
 		StatsSchemaVersion:  StatsSchemaVersion,
 		Scale:               s.eng.Scale(),
-		Counters:            stats.Counters,
+		Counters:            s.eng.Counters(),
 		StoreSchemaVersion:  engine.StoreSchemaVersion,
-		TraceCacheEntries:   stats.TraceCacheEntries,
-		TraceCacheHits:      stats.TraceCacheHits,
-		TraceCacheMisses:    stats.TraceCacheMisses,
-		TraceCacheBytes:     stats.TraceCacheBytes,
-		TraceCacheMapped:    stats.TraceCacheMapped,
-		TraceCacheEvictions: stats.TraceCacheEvictions,
+		TraceCacheEntries:   tc.Entries,
+		TraceCacheHits:      tc.Hits,
+		TraceCacheMisses:    tc.Misses,
+		TraceCacheBytes:     tc.Bytes,
+		TraceCacheMapped:    tc.MappedBytes,
+		TraceCacheEvictions: tc.Evictions,
 		Telemetry:           s.eng.TelemetryStats(),
+		Analytics:           s.analytics.counters(),
 	}
 	if st := s.eng.Store(); st != nil {
 		resp.StoreDir = st.Dir()
 		n := st.Len()
 		resp.StoreEntries = &n
-		gc := stats.GC
+		gc := s.eng.GCTotals()
 		resp.StoreGC = &gc
 	}
 	if s.traces != nil {
@@ -380,7 +394,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		o := s.tracer.Stats()
 		resp.Obs = &o
 	}
-	writeJSON(w, http.StatusOK, resp)
+	return resp
 }
 
 // maxBodyBytes bounds request bodies so an oversized JSON document is
@@ -392,7 +406,13 @@ const maxBodyBytes = 1 << 20
 // as a 400, not silently simulate the default configuration — eliminating
 // that class of silent misconfiguration is this API's whole point.
 func decodeStrict(w http.ResponseWriter, r *http.Request, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	return strictDecode(http.MaxBytesReader(w, r.Body, maxBodyBytes), v)
+}
+
+// strictDecode decodes one JSON value, rejecting unknown fields — the
+// decoder under both request bodies and background-job specs.
+func strictDecode(rd io.Reader, v any) error {
+	dec := json.NewDecoder(rd)
 	dec.DisallowUnknownFields()
 	return dec.Decode(v)
 }
@@ -408,11 +428,16 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	// One batched engine pass under the request's context: the baseline
-	// and the target run in parallel, both memoize for later requests, and
-	// a client that disconnects mid-run aborts the work at the next shard
-	// boundary instead of wasting it. Ingested traces are held referenced
-	// for the duration so a concurrent DELETE /traces can refuse.
+	s.runPlan(w, r, plan)
+}
+
+// runPlan runs a compiled synchronous request in one batched engine pass
+// under the request's context and answers its document: jobs run in
+// parallel and memoize for later requests, and a client that disconnects
+// mid-run aborts the work at the next shard boundary instead of wasting
+// it. Ingested traces are held referenced for the duration so a
+// concurrent DELETE /traces can refuse.
+func (s *Server) runPlan(w http.ResponseWriter, r *http.Request, plan *requestPlan) {
 	release := s.inflight.acquire(plan.jobs)
 	defer release()
 	if !s.recheckIngested(w, plan.jobs) {
@@ -472,20 +497,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	release := s.inflight.acquire(plan.jobs)
-	defer release()
-	if !s.recheckIngested(w, plan.jobs) {
-		return
-	}
-	results, err := s.eng.RunAllContext(r.Context(), plan.jobs, nil)
-	if err != nil {
-		if r.Context().Err() != nil {
-			return // client gone; nobody to answer
-		}
-		httpError(w, http.StatusConflict, "%v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, plan.assemble(results))
+	s.runPlan(w, r, plan)
 }
 
 // sweepGrid is a compiled trace × prefetcher × override-point grid — the

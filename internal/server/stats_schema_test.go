@@ -9,12 +9,14 @@ import (
 	"testing"
 )
 
-// statsSchemaV5 is the golden top-level field set of the /stats document
-// at stats_schema_version 5 (v2 added "cluster"; v3 added
-// "trace_cache_mapped_bytes"; v4 added "obs"; v5 added "telemetry").
+// statsSchemaV6 is the golden top-level field set of the /stats document
+// at stats_schema_version 6 (v2 added "cluster"; v3 added
+// "trace_cache_mapped_bytes"; v4 added "obs"; v5 added "telemetry"; v6
+// added "analytics").
 // Changing StatsResponse without bumping StatsSchemaVersion — or bumping
 // without updating this list — fails here. Keep the list sorted.
-var statsSchemaV5 = []string{
+var statsSchemaV6 = []string{
+	"analytics",
 	"cluster",
 	"counters",
 	"ingested_traces",
@@ -37,8 +39,8 @@ var statsSchemaV5 = []string{
 }
 
 func TestStatsSchemaGolden(t *testing.T) {
-	if StatsSchemaVersion != 5 {
-		t.Fatalf("StatsSchemaVersion = %d: update statsSchemaV5 (or add a v%d golden) to match the new shape",
+	if StatsSchemaVersion != 6 {
+		t.Fatalf("StatsSchemaVersion = %d: update statsSchemaV6 (or add a v%d golden) to match the new shape",
 			StatsSchemaVersion, StatsSchemaVersion)
 	}
 
@@ -74,11 +76,11 @@ func TestStatsSchemaGolden(t *testing.T) {
 		}
 	}
 	sort.Strings(tags)
-	if !reflect.DeepEqual(tags, statsSchemaV5) {
-		t.Errorf("StatsResponse fields changed without a schema bump:\n got  %v\n want %v", tags, statsSchemaV5)
+	if !reflect.DeepEqual(tags, statsSchemaV6) {
+		t.Errorf("StatsResponse fields changed without a schema bump:\n got  %v\n want %v", tags, statsSchemaV6)
 	}
-	golden := make(map[string]bool, len(statsSchemaV5))
-	for _, k := range statsSchemaV5 {
+	golden := make(map[string]bool, len(statsSchemaV6))
+	for _, k := range statsSchemaV6 {
 		golden[k] = true
 	}
 	for k := range doc {

@@ -37,17 +37,10 @@ import (
 // v1: first version (PR 10).
 const TimelineSchemaVersion = 1
 
-// timelineQueryParams is the accepted query-parameter set for
-// GET /results/{addr}/timeline. Unknown parameters are rejected with a
-// 400, mirroring the /analytics strictness.
-var timelineQueryParams = map[string]bool{"format": true}
-
 func (s *Server) handleResultTimeline(w http.ResponseWriter, r *http.Request) {
-	for k := range r.URL.Query() {
-		if !timelineQueryParams[k] {
-			httpError(w, http.StatusBadRequest, "unknown query parameter %q (want format)", k)
-			return
-		}
+	if err := checkQueryParams(r.URL.Query(), "format"); err != nil {
+		httpError(w, http.StatusBadRequest, "%v", err)
+		return
 	}
 	format := r.URL.Query().Get("format")
 	if format == "" {
@@ -191,17 +184,11 @@ type TimelineOverlayResponse struct {
 	Series         []TimelineSeries `json:"series"`
 }
 
-// timelineOverlayParams is the accepted query-parameter set for
-// GET /analytics/timeline.
-var timelineOverlayParams = map[string]bool{"trace": true, "prefetchers": true}
-
 func (s *Server) handleAnalyticsTimeline(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
-	for k := range q {
-		if !timelineOverlayParams[k] {
-			httpError(w, http.StatusBadRequest, "unknown query parameter %q (want trace, prefetchers)", k)
-			return
-		}
+	if err := checkQueryParams(q, "trace", "prefetchers"); err != nil {
+		httpError(w, http.StatusBadRequest, "%v", err)
+		return
 	}
 	tr := q.Get("trace")
 	if tr == "" {
