@@ -34,7 +34,7 @@ func bench(b *testing.B, id string, metric func([]stats.Table) (string, float64)
 	}
 	var tables []stats.Table
 	for i := 0; i < b.N; i++ {
-		tables = exp.Run(runner)
+		tables = exp.Tables(runner)
 	}
 	if len(tables) == 0 {
 		b.Fatalf("%s produced no tables", id)

@@ -94,7 +94,7 @@ func main() {
 
 	for _, e := range exps {
 		start := time.Now()
-		tables := e.Run(runner)
+		tables := e.Tables(runner)
 		for _, t := range tables {
 			t.Fprint(os.Stdout)
 		}

@@ -42,7 +42,7 @@
 // (LLC/L2 size, DRAM MTPS, prefetch queue, instruction budgets) and
 // "axis" walks one of those knobs over a value list, reproducing the
 // paper's Fig 16 sensitivity curves in a single request. Synchronous
-// /simulate and /sweep abort at the next shard boundary when the client
+// /simulate and /sweep abort at the next job boundary when the client
 // disconnects; POST /jobs runs the same requests as durable background
 // jobs that survive a restart (queued jobs resume from the journal,
 // crashed-while-running ones are surfaced as interrupted).
@@ -89,7 +89,6 @@ func main() {
 		cacheDir    = flag.String("cache-dir", "", "result store directory (default: $GAZE_CACHE_DIR or the user cache dir)")
 		noCache     = flag.Bool("no-cache", false, "disable the persisted result store")
 		workers     = flag.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS)")
-		seed        = flag.Uint64("seed", 0, "sweep scheduling seed")
 		telInterval = flag.Uint64("telemetry-interval", sim.DefaultTelemetryInterval, "interval-telemetry sampling period in measured instructions per core (0 = disabled)")
 		jobsWorkers = flag.Int("jobs-workers", 2, "concurrently running background jobs")
 		jobsQueue   = flag.Int("jobs-queue", 64, "max queued background jobs")
@@ -133,7 +132,7 @@ func main() {
 	}
 
 	if *workerURL != "" {
-		os.Exit(runWorker(*workerURL, *workerConc, *workerName, *cacheDir, *noCache, *traceDir, *workers, *seed, *telInterval, logger, tracer))
+		os.Exit(runWorker(*workerURL, *workerConc, *workerName, *cacheDir, *noCache, *traceDir, *workers, *telInterval, logger, tracer))
 	}
 
 	// One histogram bundle feeds every layer: the engine's phase
@@ -156,7 +155,7 @@ func main() {
 	}
 
 	opts := engine.Options{
-		Scale: sc, Workers: *workers, Seed: *seed, Phases: metrics.EnginePhase,
+		Scale: sc, Workers: *workers, Phases: metrics.EnginePhase,
 		TelemetryInterval: *telInterval,
 	}
 	if !*noCache {

@@ -27,7 +27,7 @@ import (
 // pointed at one explicitly: on a shared machine the default directories
 // would interleave with a coordinator's, and the coordinator's store is
 // the authoritative one anyway.
-func runWorker(url string, conc int, name, cacheDir string, noCache bool, traceDir string, engWorkers int, seed, telInterval uint64, logger *slog.Logger, tracer *obs.Tracer) int {
+func runWorker(url string, conc int, name, cacheDir string, noCache bool, traceDir string, engWorkers int, telInterval uint64, logger *slog.Logger, tracer *obs.Tracer) int {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
@@ -47,7 +47,7 @@ func runWorker(url string, conc int, name, cacheDir string, noCache bool, traceD
 
 	// Telemetry arms on the worker too: its engine is the one computing,
 	// so the timeline is collected here and uploaded beside the result.
-	opts := engine.Options{Scale: info.Scale, Workers: engWorkers, Seed: seed, TelemetryInterval: telInterval}
+	opts := engine.Options{Scale: info.Scale, Workers: engWorkers, TelemetryInterval: telInterval}
 	if cacheDir != "" && !noCache {
 		store, err := engine.Open(cacheDir)
 		if err != nil {

@@ -155,7 +155,7 @@ func main() {
 	}
 
 	// Batch every (baseline, prefetcher) pair of the whole invocation
-	// through one shard-parallel sweep, then print rows in order.
+	// through one parallel sweep, then print rows in order.
 	var jobs []engine.Job
 	for _, name := range names {
 		base, target := jobsFor(name, *pf, *l2pf, *cores, overrides)

@@ -103,7 +103,7 @@ func main() {
 	fmt.Printf("\nresubmitted: coalesced=%v onto %s (%s)\n", again.Coalesced, again.ID[:12], again.State)
 
 	// 4b. A fresh campaign, cancelled mid-flight: the engine stops at the
-	// next shard boundary and the job lands in canceled with partial
+	// next job boundary and the job lands in canceled with partial
 	// progress (everything it did finish stays memoized).
 	second := map[string]any{
 		"type": "sweep",

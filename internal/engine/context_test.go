@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 )
 
@@ -96,5 +97,59 @@ func TestRunAllContextPartialResultsResume(t *testing.T) {
 	}
 	if got := after.Simulated; got != uint64(len(jobs)) {
 		t.Errorf("total simulated = %d, want %d (each job exactly once)", got, len(jobs))
+	}
+}
+
+// TestRunAllContextDuplicatesRunOnce: a sweep that repeats a job simulates
+// it once, copies the result to every repeat, and still reports progress
+// for every index, the copies as cached.
+func TestRunAllContextDuplicatesRunOnce(t *testing.T) {
+	e := New(Options{Scale: tiny, Workers: 2})
+	a, b := tinyJob("IP-stride"), tinyJob("BOP")
+	jobs := []Job{a, b, a, a}
+	var events []Progress
+	results, err := e.RunAllContext(context.Background(), jobs, func(p Progress) {
+		events = append(events, p) // callbacks are serialized
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := e.Counters(); c.Simulated != 2 {
+		t.Errorf("simulated = %d, want 2", c.Simulated)
+	}
+	if len(events) != len(jobs) {
+		t.Fatalf("progress events = %d, want %d", len(events), len(jobs))
+	}
+	cached := 0
+	for i, p := range events {
+		if p.Done != i+1 || p.Total != len(jobs) {
+			t.Errorf("event %d: Done/Total = %d/%d, want %d/%d", i, p.Done, p.Total, i+1, len(jobs))
+		}
+		if p.Cached {
+			cached++
+		}
+	}
+	if cached != 2 {
+		t.Errorf("%d cached events, want 2 (the copies of A)", cached)
+	}
+	if results[0].MeanIPC() <= 0 || !reflect.DeepEqual(results[0], results[2]) || !reflect.DeepEqual(results[0], results[3]) {
+		t.Error("the three A indices do not hold one equal, non-zero result")
+	}
+}
+
+// TestRunAllContextCostliestFirst: a single worker takes the 4-core job
+// before the 1-core job submitted ahead of it.
+func TestRunAllContextCostliestFirst(t *testing.T) {
+	e := New(Options{Scale: tiny, Workers: 1})
+	one := tinyJob("IP-stride")
+	four := Job{Traces: []string{"lbm-1274", "lbm-1274", "lbm-1274", "lbm-1274"}, L1: []string{"IP-stride"}}
+	var order []string
+	if _, err := e.RunAllContext(context.Background(), []Job{one, four}, func(p Progress) {
+		order = append(order, p.Address)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(order) != 2 || order[0] != four.ContentAddress(tiny) {
+		t.Errorf("completion order %v, want the 4-core job %s first", order, four.ContentAddress(tiny))
 	}
 }

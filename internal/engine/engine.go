@@ -3,8 +3,9 @@
 // cmd/gazesim and cmd/experiments (CLIs) and cmd/gazeserve (HTTP): every
 // entry point describes work as Jobs, and the engine deduplicates them
 // through an in-process memo, an optional content-addressed disk store
-// (instant repeated sweeps across processes), and a shard-parallel sweep
-// executor with deterministic scheduling and progress/ETA reporting.
+// (instant repeated sweeps across processes), and a sweep executor whose
+// workers share one deduplicated, costliest-first queue and report
+// progress/ETA.
 package engine
 
 import (
@@ -13,12 +14,13 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
 	"repro/internal/prefetchers"
-	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -248,6 +250,14 @@ func (j Job) Baseline() Job {
 	return Job{Traces: j.Traces, L1: []string{"none"}, Overrides: j.Overrides}
 }
 
+// Instructions returns the job's cost at a scale: the warmup+sim budget
+// it runs, per the single budget-fold rule, summed over its cores. The
+// server caps request work by it and RunAll orders its queue by it.
+func (j Job) Instructions(scale Scale) uint64 {
+	warmup, sim := j.Overrides.EffectiveBudgets(scale)
+	return uint64(len(j.Traces)) * (warmup + sim)
+}
+
 // Speedup returns res.MeanIPC()/base.MeanIPC(), or 0 when the baseline
 // did not run.
 func Speedup(res, base sim.Result) float64 {
@@ -337,10 +347,11 @@ type Options struct {
 	Scale Scale
 	// Store persists results across processes (nil = in-memory only).
 	Store *Store
-	// Workers bounds concurrent simulations and sweep shards
+	// Workers bounds concurrent simulations and sweep workers
 	// (0 = GOMAXPROCS).
 	Workers int
-	// Seed drives per-shard deterministic scheduling in RunAll.
+	// Deprecated: Seed is ignored. Sweeps no longer depend on a seed: every
+	// RunAll walks one shared queue in a fixed costliest-first order.
 	Seed uint64
 	// Progress, when set, observes every RunAll job completion. Calls are
 	// serialized engine-wide; Done/Total describe the sweep that
@@ -365,7 +376,6 @@ type Options struct {
 type Engine struct {
 	scale             Scale
 	store             *Store
-	seed              uint64
 	workers           int
 	progress          func(Progress)
 	phases            *obs.HistogramVec
@@ -399,7 +409,6 @@ func New(opts Options) *Engine {
 	return &Engine{
 		scale:             opts.Scale,
 		store:             opts.Store,
-		seed:              opts.Seed,
 		workers:           opts.Workers,
 		progress:          opts.Progress,
 		phases:            opts.Phases,
@@ -465,7 +474,7 @@ func (e *Engine) HasKey(key, addr string) bool {
 // jobs that may reference registry traces (deletable at runtime) should
 // use RunContext and handle the error.
 func (e *Engine) Run(j Job) sim.Result {
-	res, _, err := e.run(context.Background(), j)
+	res, _, err := e.run(context.Background(), j, j.CanonicalJSON(e.scale))
 	if err != nil { // background ctx: only a trace-supply failure
 		panic(fmt.Sprintf("engine: running %s: %v", j, err))
 	}
@@ -480,15 +489,15 @@ func (e *Engine) Run(j Job) sim.Result {
 // also surfaces trace-materialization failures (a registry trace deleted
 // or damaged between validation and execution) instead of panicking.
 func (e *Engine) RunContext(ctx context.Context, j Job) (sim.Result, error) {
-	res, _, err := e.run(ctx, j)
+	res, _, err := e.run(ctx, j, j.CanonicalJSON(e.scale))
 	return res, err
 }
 
-func (e *Engine) run(ctx context.Context, j Job) (res sim.Result, cached bool, err error) {
-	// The canonical encoding keys all three layers: the memo and
-	// single-flight maps use it verbatim, the store hashes it into the
-	// job's content address and persists it inside the record.
-	key := j.CanonicalJSON(e.scale)
+// run executes j under key, its canonical encoding at the engine's
+// scale. The key indexes all three layers: the memo and single-flight
+// maps use it verbatim, the store hashes it into the job's content
+// address and persists it inside the record.
+func (e *Engine) run(ctx context.Context, j Job, key string) (res sim.Result, cached bool, err error) {
 	for {
 		e.mu.Lock()
 		if r, ok := e.memo[key]; ok {
@@ -617,7 +626,7 @@ func (e *Engine) execute(ctx context.Context, j Job) (sim.Result, *sim.Telemetry
 	specs := make([]sim.CoreSpec, cores)
 	for i, name := range j.Traces {
 		// The process-wide materialized-trace cache hands every job of a
-		// sweep (and every concurrent shard, single-flight) one shared
+		// sweep (and every concurrent sweep worker, single-flight) one shared
 		// immutable record slab per {trace, length} instead of
 		// regenerating it per job. Materialization can fail at runtime for
 		// registry-backed traces (deleted or damaged after validation), so
@@ -664,14 +673,14 @@ func (e *Engine) materialize(ctx context.Context, name string, j Job) (trace.Rec
 	return recs, nil
 }
 
-// RunAll executes a sweep: jobs are split round-robin into one shard per
-// worker, each shard walks its jobs in an order drawn from its own
-// deterministic RNG (seeded from Options.Seed and the shard index, so
-// identical sweeps schedule identically while expensive jobs spread across
-// shards), and every completion feeds the Progress callback with an ETA.
-// Results are returned in input order. Like Run, it is for catalogue-trace
-// jobs and panics on a trace-supply failure; registry-referencing sweeps
-// go through RunAllContext.
+// RunAll executes a sweep and returns its results in input order. Each
+// distinct job runs once: every worker pulls the next distinct job from
+// one shared queue, costliest first (Job.Instructions), so multi-core
+// jobs start early and no worker idles while another holds a long list.
+// A duplicate index gets a copy of its job's result. Every index feeds
+// the Progress callback with an ETA, duplicates as Cached. Like Run, it is
+// for catalogue-trace jobs and panics on a trace-supply failure;
+// registry-referencing sweeps go through RunAllContext.
 func (e *Engine) RunAll(jobs []Job) []sim.Result {
 	results, err := e.RunAllContext(context.Background(), jobs, nil)
 	if err != nil { // background ctx: only a trace-supply failure
@@ -680,40 +689,54 @@ func (e *Engine) RunAll(jobs []Job) []sim.Result {
 	return results
 }
 
+// sweepEntry is one distinct job of a sweep: its canonical key, its cost
+// (Job.Instructions) and every input index that asks for it, the first of
+// which runs.
+type sweepEntry struct {
+	key  string
+	cost uint64
+	idx  []int
+}
+
 // RunAllContext is RunAll with cooperative cancellation and an optional
 // per-call progress observer (nil falls back to Options.Progress). When
-// ctx is cancelled, every shard stops at its next job boundary — a
+// ctx is cancelled, every worker stops at its next job boundary — a
 // simulation already in flight runs to completion, everything not yet
 // started is skipped — and ctx's error is returned alongside the partial
 // results: completed indices hold real results, skipped ones are zero.
 // Partial results still land in the memo and store, so a resubmitted sweep
 // resumes instead of recomputing. A job whose trace supply fails (a
-// registry trace deleted mid-sweep) stops its shard and the first such
+// registry trace deleted mid-sweep) stops its worker and the first such
 // error is returned the same way — never swallowed into silent zero rows.
 func (e *Engine) RunAllContext(ctx context.Context, jobs []Job, progress func(Progress)) ([]sim.Result, error) {
 	results := make([]sim.Result, len(jobs))
-	if len(jobs) == 0 {
-		return results, ctx.Err()
-	}
 	if progress == nil {
 		progress = e.progress
 	}
-	shards := e.workers
-	if shards > len(jobs) {
-		shards = len(jobs)
+	// One entry per distinct key, costliest first; the sort is stable, so
+	// equal-cost entries keep input order.
+	var queue []sweepEntry
+	byKey := make(map[string]int, len(jobs))
+	for i, j := range jobs {
+		key := j.CanonicalJSON(e.scale)
+		if n, ok := byKey[key]; ok {
+			queue[n].idx = append(queue[n].idx, i)
+			continue
+		}
+		byKey[key] = len(queue)
+		queue = append(queue, sweepEntry{key: key, cost: j.Instructions(e.scale), idx: []int{i}})
 	}
-	order := make([][]int, shards)
-	for i := range jobs {
-		order[i%shards] = append(order[i%shards], i)
-	}
+	sort.SliceStable(queue, func(a, b int) bool { return queue[a].cost > queue[b].cost })
+	workers := min(e.workers, len(queue))
 
 	start := time.Now()
 	var (
 		done, simulated int
+		next            atomic.Int64
 		wg              sync.WaitGroup
 	)
 	// The job label and content address are computed by the caller,
-	// outside progMu — hashing under a mutex shared by every shard would
+	// outside progMu — hashing under a mutex shared by every worker would
 	// serialize the cache-hit fast path.
 	report := func(label, addr string, cached bool) {
 		e.progMu.Lock()
@@ -742,36 +765,47 @@ func (e *Engine) RunAllContext(ctx context.Context, jobs []Job, progress func(Pr
 		errOnce   sync.Once
 		jobErr    error
 	)
-	for s := range order {
+	for w := range workers {
 		wg.Add(1)
-		go func(shard int, idx []int) {
+		go func() {
 			defer wg.Done()
 			defer func() {
 				if r := recover(); r != nil {
 					panicOnce.Do(func() { panicked = r })
 				}
 			}()
-			sctx, _, shardDone := e.phase(ctx, "shard", obs.Int("shard", shard), obs.Int("jobs", len(idx)))
+			sctx, _, shardDone := e.phase(ctx, "shard", obs.Int("shard", w))
 			defer shardDone()
-			src := rng.New(e.seed ^ (uint64(shard+1) * 0x9e3779b97f4a7c15))
-			for _, k := range src.Perm(len(idx)) {
-				if ctx.Err() != nil {
+			for ctx.Err() == nil {
+				n := int(next.Add(1)) - 1
+				if n >= len(queue) {
 					return
 				}
-				i := idx[k]
-				res, cached, err := e.run(sctx, jobs[i])
+				ent := queue[n]
+				res, cached, err := e.run(sctx, jobs[ent.idx[0]], ent.key)
 				if err != nil {
 					if ctx.Err() == nil {
 						errOnce.Do(func() { jobErr = err })
 					}
 					return
 				}
-				results[i] = res
+				if dups := len(ent.idx) - 1; dups > 0 {
+					// Each copy is a memo hit, as if its index had run.
+					e.mu.Lock()
+					e.counters.MemoHits += uint64(dups)
+					e.mu.Unlock()
+				}
+				for _, i := range ent.idx {
+					results[i] = res
+				}
 				if progress != nil {
-					report(jobs[i].String(), jobs[i].ContentAddress(e.scale), cached)
+					addr := AddressOfKey(ent.key)
+					for k, i := range ent.idx {
+						report(jobs[i].String(), addr, cached || k > 0)
+					}
 				}
 			}
-		}(s, order[s])
+		}()
 	}
 	wg.Wait()
 	if panicked != nil {

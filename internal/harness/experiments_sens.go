@@ -1,6 +1,8 @@
 package harness
 
 import (
+	"fmt"
+
 	"repro/internal/stats"
 )
 
@@ -130,86 +132,37 @@ var fig17Traces = []string{
 // (0.5-4KB) and PHT size (128-1024 entries), normalized to the baseline
 // configuration (4KB region, 256-entry PHT).
 func Fig17(r *Runner) []stats.Table {
-	region := stats.Table{
-		Title:  "Fig 17a: sensitivity to region size (speedup normalized to 4KB)",
-		Header: []string{"trace", "0.5KB", "1KB", "2KB", "4KB"},
-	}
-	sizes := []int{512, 1024, 2048, 4096}
-	sums := make([][]float64, len(sizes))
-	for _, tr := range fig17Traces {
-		base := r.Speedup(tr, "Gaze")
-		row := []string{tr}
-		for i, size := range sizes {
-			s := base
-			if size != 4096 {
-				s = r.vgazeSpeedup(tr, size)
-			}
-			norm := 0.0
-			if base > 0 {
-				norm = s / base
-			}
-			sums[i] = append(sums[i], norm)
-			row = append(row, stats.F(norm, 3))
-		}
-		region.AddRow(row...)
-	}
-	avgRow := []string{"AVG"}
-	for i := range sizes {
-		avgRow = append(avgRow, stats.F(stats.Geomean(sums[i]), 3))
-	}
-	region.AddRow(avgRow...)
-
-	pht := stats.Table{
-		Title:  "Fig 17b: sensitivity to PHT size (speedup normalized to 256 entries)",
-		Header: []string{"trace", "128", "256", "512", "1024"},
-	}
-	entries := []int{128, 256, 512, 1024}
-	psums := make([][]float64, len(entries))
-	for _, tr := range fig17Traces {
-		base := r.Speedup(tr, "Gaze")
-		row := []string{tr}
-		for i, n := range entries {
-			var s float64
-			if n == 256 {
-				s = base
-			} else {
-				s = r.gazePHTSizeSpeedup(tr, n)
-			}
-			norm := 0.0
-			if base > 0 {
-				norm = s / base
-			}
-			psums[i] = append(psums[i], norm)
-			row = append(row, stats.F(norm, 3))
-		}
-		pht.AddRow(row...)
-	}
-	avgRow = []string{"AVG"}
-	for i := range entries {
-		avgRow = append(avgRow, stats.F(stats.Geomean(psums[i]), 3))
-	}
-	pht.AddRow(avgRow...)
+	region := r.gazeVariantPanel("Fig 17a: sensitivity to region size (speedup normalized to 4KB)",
+		[]string{"trace", "0.5KB", "1KB", "2KB", "4KB"}, []int{512, 1024, 2048, 4096}, 4096, vGazeName)
+	pht := r.gazeVariantPanel("Fig 17b: sensitivity to PHT size (speedup normalized to 256 entries)",
+		[]string{"trace", "128", "256", "512", "1024"}, []int{128, 256, 512, 1024}, 256,
+		func(n int) string { return fmt.Sprintf("Gaze-PHT%d", n) })
 	return []stats.Table{region, pht}
 }
 
 // Fig18 reproduces Figure 18: vGaze with large (huge-page) regions,
 // normalized to the 4KB baseline.
 func Fig18(r *Runner) []stats.Table {
-	t := stats.Table{
-		Title:  "Fig 18: vGaze with large regions (normalized to 4KB)",
-		Header: []string{"trace", "4KB", "8KB", "16KB", "32KB", "64KB"},
-	}
-	sizes := []int{4096, 8192, 16384, 32768, 65536}
-	sums := make([][]float64, len(sizes))
+	return []stats.Table{r.gazeVariantPanel("Fig 18: vGaze with large regions (normalized to 4KB)",
+		[]string{"trace", "4KB", "8KB", "16KB", "32KB", "64KB"}, []int{4096, 8192, 16384, 32768, 65536}, 4096, vGazeName)}
+}
+
+// vGazeName names the vGaze variant with a region of the given bytes.
+func vGazeName(regionBytes int) string { return fmt.Sprintf("vGaze-%dB", regionBytes) }
+
+// gazeVariantPanel renders one row per fig17Traces trace: the speedup of
+// the Gaze variant variant(v) for each value v, normalized to full Gaze's
+// (which is the variant at value gaze), plus a geomean AVG row.
+func (r *Runner) gazeVariantPanel(title string, header []string, values []int, gaze int, variant func(int) string) stats.Table {
+	t := stats.Table{Title: title, Header: header}
+	sums := make([][]float64, len(values))
 	for _, tr := range fig17Traces {
 		base := r.Speedup(tr, "Gaze")
 		row := []string{tr}
-		for i, size := range sizes {
-			var s float64
-			if size == 4096 {
-				s = base
-			} else {
-				s = r.vgazeSpeedup(tr, size)
+		for i, v := range values {
+			s := base
+			if v != gaze {
+				s = r.Speedup(tr, variant(v))
 			}
 			norm := 0.0
 			if base > 0 {
@@ -221,9 +174,9 @@ func Fig18(r *Runner) []stats.Table {
 		t.AddRow(row...)
 	}
 	avgRow := []string{"AVG"}
-	for i := range sizes {
+	for i := range values {
 		avgRow = append(avgRow, stats.F(stats.Geomean(sums[i]), 3))
 	}
 	t.AddRow(avgRow...)
-	return []stats.Table{t}
+	return t
 }

@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"repro/internal/prefetchers"
 	"repro/internal/stats"
@@ -67,7 +68,6 @@ func Fig04(r *Runner) []stats.Table {
 // prefetchers per suite plus the overall average.
 func Fig06(r *Runner) []stats.Table {
 	pfs := prefetchers.EvaluatedNames()
-	r.prewarm(r.EvalSet(), pfs)
 	t := stats.Table{
 		Title:  "Fig 6: single-core speedup over no prefetching",
 		Header: append([]string{"prefetcher"}, append(MainSuites(), "AVG")...),
@@ -256,44 +256,24 @@ func Fig11(r *Runner) []stats.Table {
 		}
 		t.AddRow(row...)
 	}
-	for label, m := range map[string]map[string][]float64{
-		"avg_spec17": spec17, "avg_cloud": cloud, "avg_all": sums,
-	} {
-		row := []string{label}
+	for _, avg := range []struct {
+		label string
+		m     map[string][]float64
+	}{{"avg_all", sums}, {"avg_cloud", cloud}, {"avg_spec17", spec17}} {
+		row := []string{avg.label}
 		for _, pf := range pfs {
-			row = append(row, stats.F(stats.Geomean(m[pf]), 3))
+			row = append(row, stats.F(stats.Geomean(avg.m[pf]), 3))
 		}
 		t.AddRow(row...)
 	}
-	// Keep average rows in a stable order (map iteration above is not).
-	sort.Slice(t.Rows[len(t.Rows)-3:], func(i, j int) bool {
-		tail := t.Rows[len(t.Rows)-3:]
-		return tail[i][0] < tail[j][0]
-	})
 	return []stats.Table{t}
 }
 
-func isSpec17Trace(name string) bool {
-	for _, suffix := range []string{"_s-"} {
-		if contains(name, suffix) {
-			return true
-		}
-	}
-	return false
-}
+func isSpec17Trace(name string) bool { return strings.Contains(name, "_s-") }
 
 func isCloudTrace(name string) bool {
 	for _, app := range []string{"cassandra", "cloud9", "nutch", "stream-", "classification"} {
-		if contains(name, app) {
-			return true
-		}
-	}
-	return false
-}
-
-func contains(s, sub string) bool {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
+		if strings.Contains(name, app) {
 			return true
 		}
 	}

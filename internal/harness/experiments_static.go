@@ -61,7 +61,12 @@ func Fig02(r *Runner) []stats.Table {
 		Header: []string{"trace", "regions", "mean density", "dense", "1-block", "trigger ambiguity"},
 	}
 	for _, tr := range []string{"fotonik3d_s-8225", "lbm-1274", "mcf_s-1554", "cassandra-p0c0", "PageRank-61"} {
-		recs := workload.MustGenerate(tr, r.Scale().TraceLen)
+		// The process-wide slab, not a fresh generation: Tables renders
+		// twice (plan, then render) and the sims share the slab too.
+		recs, err := workload.Materialize(tr, r.Scale().TraceLen)
+		if err != nil {
+			panic(err)
+		}
 		st := workload.AnalyzeFootprints(recs)
 		t.AddRow(tr,
 			fmt.Sprint(st.Regions),

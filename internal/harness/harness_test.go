@@ -188,3 +188,21 @@ func TestGeomeanStats(t *testing.T) {
 		t.Error("Min/Max wrong")
 	}
 }
+
+// TestPlanCoversRender: for every experiment, the dry-run plan names every
+// job the render asks for, so after one RunAll the render simulates
+// nothing and reads only the memo.
+func TestPlanCoversRender(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation-heavy")
+	}
+	r := NewRunner(Scale{TracesPerSuite: 1, TraceLen: 20_000, Warmup: 5_000, Sim: 20_000})
+	for _, e := range Experiments() {
+		r.RunAll(e.plan(r))
+		before := r.Engine().Counters().Simulated
+		e.Run(r)
+		if after := r.Engine().Counters().Simulated; after != before {
+			t.Errorf("%s: render simulated %d jobs its plan missed", e.ID, after-before)
+		}
+	}
+}

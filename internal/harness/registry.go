@@ -44,6 +44,21 @@ func Experiments() []Experiment {
 	return exps
 }
 
+// plan dry-runs the experiment and returns every job its render asks for.
+func (e Experiment) plan(r *Runner) []Job {
+	var jobs []Job
+	e.Run(&Runner{eng: r.eng, planned: &jobs})
+	return jobs
+}
+
+// Tables renders the experiment as one planned sweep: its jobs run in one
+// RunAll on every worker, then the render reads them from the memo. A job
+// the dry run misses still runs correctly at render time, only serially.
+func (e Experiment) Tables(r *Runner) []stats.Table {
+	r.RunAll(e.plan(r))
+	return e.Run(r)
+}
+
 // Find returns the experiment with the given ID.
 func Find(id string) (Experiment, error) {
 	for _, e := range Experiments() {

@@ -1,12 +1,14 @@
 // Package harness regenerates every table and figure of the paper's
 // evaluation (§IV) from the simulator: it binds workloads, prefetchers and
 // system configurations, runs the simulations through the shared
-// experiment engine (memoized, optionally disk-persisted, shard-parallel),
-// and formats the same rows/series the paper reports.
+// experiment engine (memoized, optionally disk-persisted, parallel), and
+// formats the same rows/series the paper reports. Experiment.Tables runs
+// each artifact as one planned sweep: a dry run of the artifact collects
+// the jobs it asks for, one RunAll executes them on every worker, and the
+// render reads the results back from the memo.
 package harness
 
 import (
-	"fmt"
 	"sort"
 
 	"repro/internal/engine"
@@ -34,9 +36,12 @@ type Overrides = engine.Overrides
 
 // Runner layers the paper's experiment vocabulary (suites, speedups,
 // sweeps) over an engine.Engine, which supplies memoization, the
-// persisted result store, and shard-parallel execution.
+// persisted result store, and parallel sweeps.
 type Runner struct {
 	eng *engine.Engine
+	// planned, when set, makes the runner a dry run: Run appends its job
+	// here and returns a placeholder instead of simulating.
+	planned *[]Job
 }
 
 // NewRunner builds a runner at the given scale with in-memory memoization
@@ -57,9 +62,21 @@ func (r *Runner) Engine() *engine.Engine { return r.eng }
 func (r *Runner) Scale() Scale { return r.eng.Scale() }
 
 // Run executes one job (memoized).
-func (r *Runner) Run(j Job) sim.Result { return r.eng.Run(j) }
+func (r *Runner) Run(j Job) sim.Result {
+	if r.planned == nil {
+		return r.eng.Run(j)
+	}
+	*r.planned = append(*r.planned, j)
+	// One unit IPC per core: a zero baseline would make Speedup return
+	// before it asks for the target job.
+	res := sim.Result{Cores: make([]sim.CoreResult, len(j.Traces))}
+	for i := range res.Cores {
+		res.Cores[i].IPC = 1
+	}
+	return res
+}
 
-// RunAll executes jobs shard-parallel and returns results in order.
+// RunAll executes jobs as one engine sweep and returns results in order.
 func (r *Runner) RunAll(jobs []Job) []sim.Result { return r.eng.RunAll(jobs) }
 
 // single runs one single-core (trace, prefetcher) pair with the default
@@ -110,28 +127,6 @@ func (r *Runner) EvalSet() []string {
 		out = append(out, r.SuiteTraces(s)...)
 	}
 	return out
-}
-
-// prewarm launches the (trace, pf) sims for all combinations in parallel.
-func (r *Runner) prewarm(traces, pfs []string) {
-	var jobs []Job
-	for _, t := range traces {
-		jobs = append(jobs, Job{Traces: []string{t}, L1: []string{"none"}})
-		for _, p := range pfs {
-			jobs = append(jobs, Job{Traces: []string{t}, L1: []string{p}})
-		}
-	}
-	r.RunAll(jobs)
-}
-
-// vgazeSpeedup runs the vGaze variant with an arbitrary region byte size.
-func (r *Runner) vgazeSpeedup(traceName string, regionBytes int) float64 {
-	return r.Speedup(traceName, fmt.Sprintf("vGaze-%dB", regionBytes))
-}
-
-// gazePHTSizeSpeedup runs Gaze with a resized PHT (Fig 17b).
-func (r *Runner) gazePHTSizeSpeedup(traceName string, entries int) float64 {
-	return r.Speedup(traceName, fmt.Sprintf("Gaze-PHT%d", entries))
 }
 
 // suiteSpeedups computes per-suite geometric-mean speedups for a

@@ -4,7 +4,7 @@
 // submissions through content-addressed IDs (built from the same
 // engine.Job canonical encodings the result store is keyed by), runs them
 // on a bounded worker pool with FIFO + priority lanes, tracks live
-// engine.Progress per job, cancels cooperatively at shard boundaries, and
+// engine.Progress per job, cancels cooperatively at job boundaries, and
 // journals every state transition to disk so a restarted process resumes
 // queued jobs and surfaces interrupted ones instead of silently losing
 // them.
@@ -115,7 +115,8 @@ type Executor func(ctx context.Context, jobs []engine.Job, progress func(engine.
 // Progress is a job's live advancement, fed by the engine's per-completion
 // callbacks.
 type Progress struct {
-	// Done and Total count engine jobs within this job's sweep.
+	// Done and Total count engine jobs within this job's sweep; Total is
+	// set when the job starts running.
 	Done  int `json:"done"`
 	Total int `json:"total"`
 	// Cached counts completions served from the memo or store.
@@ -162,7 +163,7 @@ type Record struct {
 // finalize sums to ≈ TotalMS. Spans aggregates the durations of every
 // instrumentation span recorded under the job (engine.materialize,
 // engine.simulate, engine.shard, cluster.* ...); those ran concurrently
-// across shards, so their sum routinely exceeds wall time.
+// across engine workers, so their sum routinely exceeds wall time.
 type Timings struct {
 	TotalMS int64            `json:"total_ms"`
 	Phases  map[string]int64 `json:"phases"`
@@ -216,7 +217,7 @@ type Options struct {
 	// (Dir/results/<id>.json). Empty disables durability: jobs live and
 	// die with the process.
 	Dir string
-	// Workers bounds concurrently running jobs (not engine shards — each
+	// Workers bounds concurrently running jobs (not engine workers — each
 	// running job still fans out across the engine's workers). Default 2.
 	Workers int
 	// QueueDepth bounds queued jobs across both lanes; Submit returns
@@ -471,6 +472,9 @@ func (m *Manager) dispatch() {
 		rec.cancel = cancel
 		rec.State = Running
 		rec.Started = time.Now()
+		// Known before the first engine completion reports it, so a job
+		// cancelled before any completes still reads 0 of its total.
+		rec.Progress.Total = len(rec.plan.Jobs)
 		m.running++
 		m.journalLocked(rec)
 		m.notifyLocked(rec)
@@ -660,7 +664,7 @@ func (m *Manager) observeProgress(rec *record, p engine.Progress) {
 
 // Cancel requests cooperative cancellation. A queued job lands in
 // canceled immediately; a running job's context is cancelled and the
-// engine stops at the next shard boundary (the returned record still
+// engine stops at the next job boundary (the returned record still
 // reads running until it does). Terminal jobs return ErrTerminal.
 func (m *Manager) Cancel(id string) (Record, error) {
 	m.mu.Lock()
@@ -906,7 +910,7 @@ func (m *Manager) Shutdown(ctx context.Context) error {
 			}
 		}
 		m.mu.Unlock()
-		// Cancellation is shard-boundary granular: the drain completes
+		// Cancellation is job-boundary granular: the drain completes
 		// once in-flight simulations finish.
 		<-drained
 	}

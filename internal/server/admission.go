@@ -1,6 +1,6 @@
 // Admission control: dependency-free per-client token buckets in front
 // of the expensive compile paths (POST /simulate, /sweep, /jobs). A
-// single client looping sweeps can monopolize every engine shard; the
+// single client looping sweeps can monopolize every engine worker; the
 // bucket caps each client's sustained start rate while letting bursts
 // through, and over-limit requests fail fast with 429 + Retry-After
 // instead of queueing behind simulations. Clients are keyed by the

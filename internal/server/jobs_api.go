@@ -313,7 +313,7 @@ func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusConflict, "job already %s", rec.State)
 		return
 	}
-	// 202, not 200: a running job cancels cooperatively at the next shard
+	// 202, not 200: a running job cancels cooperatively at the next job
 	// boundary; poll GET /jobs/{id} (or stream events) for the terminal
 	// state.
 	writeJSON(w, http.StatusAccepted, statusFor(rec))

@@ -1,7 +1,7 @@
 // Package server exposes the experiment engine over HTTP — the gazeserve
 // service. POST /simulate runs one job (plus its no-prefetch baseline) and
 // returns the paper's §IV-A3 metrics; POST /sweep batches a whole
-// trace × prefetcher grid through one shard-parallel engine pass. All
+// trace × prefetcher grid through one parallel engine sweep. All
 // handlers share a single engine, so concurrent and repeated requests
 // coalesce onto the same memoized (and optionally disk-persisted)
 // simulations.
@@ -434,7 +434,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 // runPlan runs a compiled synchronous request in one batched engine pass
 // under the request's context and answers its document: jobs run in
 // parallel and memoize for later requests, and a client that disconnects
-// mid-run aborts the work at the next shard boundary instead of wasting
+// mid-run aborts the work at the next job boundary instead of wasting
 // it. Ingested traces are held referenced for the duration so a
 // concurrent DELETE /traces can refuse.
 func (s *Server) runPlan(w http.ResponseWriter, r *http.Request, plan *requestPlan) {
@@ -473,7 +473,7 @@ func compileSimulate(scale engine.Scale, req SimulateRequest) (*requestPlan, err
 	// Per-knob override bounds don't compose into a work bound on their
 	// own: 16 cores at maxed-out budgets would simulate for hours. Cap the
 	// request's total work (baseline + target across all cores).
-	if work := 2 * uint64(len(job.Traces)) * effectiveInstructions(scale, job.Overrides); work > maxSimulateInstructions {
+	if work := 2 * job.Instructions(scale); work > maxSimulateInstructions {
 		return nil, fmt.Errorf(
 			"request simulates %d instructions, exceeding the limit of %d (lower cores or the warmup/sim overrides)",
 			work, uint64(maxSimulateInstructions))
@@ -629,13 +629,21 @@ func compileSweepGrid(scale engine.Scale, req SweepRequest) (*sweepGrid, error) 
 			"sweep of %d axis values x %d traces x %d prefetchers needs %d jobs, exceeding the limit of %d",
 			len(points), len(traces), len(pfs), grid, maxSweepJobs)
 	}
+	var grid []engine.Job
+	for _, o := range points {
+		for _, tr := range traces {
+			grid = append(grid, engine.Job{Traces: []string{tr}, L1: []string{"none"}, Overrides: o})
+			for _, pf := range pfs {
+				grid = append(grid, engine.Job{Traces: []string{tr}, L1: []string{pf}, Overrides: o})
+			}
+		}
+	}
 	// The job cap alone stopped bounding cost once Overrides exposed
 	// instruction budgets over HTTP: a capped grid of maxed-out budgets
 	// would still simulate for days. Bound the total simulated work too.
-	jobsPerPoint := uint64(len(traces)) * uint64(len(pfs)+1)
 	var totalInstr uint64
-	for _, o := range points {
-		totalInstr += effectiveInstructions(scale, o) * jobsPerPoint
+	for _, j := range grid {
+		totalInstr += j.Instructions(scale)
 	}
 	if totalInstr > maxSweepInstructions {
 		return nil, fmt.Errorf(
@@ -646,7 +654,7 @@ func compileSweepGrid(scale engine.Scale, req SweepRequest) (*sweepGrid, error) 
 	// Validate each distinct trace and prefetcher name once before
 	// spending any simulation time (constructing a prefetcher just to
 	// validate its name is not free), then batch the entire grid —
-	// baselines included — through one shard-parallel pass.
+	// baselines included — through one engine sweep.
 	for _, tr := range traces {
 		if !workload.Exists(tr) {
 			return nil, fmt.Errorf("unknown trace %q", tr)
@@ -655,15 +663,6 @@ func compileSweepGrid(scale engine.Scale, req SweepRequest) (*sweepGrid, error) 
 	for _, pf := range pfs {
 		if _, err := prefetchers.New(pf); err != nil {
 			return nil, err
-		}
-	}
-	var grid []engine.Job
-	for _, o := range points {
-		for _, tr := range traces {
-			grid = append(grid, engine.Job{Traces: []string{tr}, L1: []string{"none"}, Overrides: o})
-			for _, pf := range pfs {
-				grid = append(grid, engine.Job{Traces: []string{tr}, L1: []string{pf}, Overrides: o})
-			}
 		}
 	}
 	return &sweepGrid{
@@ -691,13 +690,6 @@ const (
 	maxSweepInstructions    = 8_000_000_000
 	maxSimulateInstructions = 1_000_000_000
 )
-
-// effectiveInstructions returns the per-core warmup+sim budget a job
-// actually runs, per the engine's single budget-fold rule.
-func effectiveInstructions(scale engine.Scale, o engine.Overrides) uint64 {
-	warmup, sim := o.EffectiveBudgets(scale)
-	return warmup + sim
-}
 
 // dedupe returns names with duplicates removed, preserving first-seen
 // order (in place — callers pass request-owned slices).
