@@ -109,7 +109,7 @@ func TestClusterTelemetryByteIdenticalToLocal(t *testing.T) {
 	if code := postJSON(t, node.ts.URL+"/jobs", body, &submitted); code != http.StatusAccepted {
 		t.Fatalf("submit: status %d", code)
 	}
-	waitJob(t, node.ts.URL, submitted.ID, nil)
+	waitJob(t, node.ts.URL, submitted.ID)
 
 	// The terminal job links its timelines, and every link serves from
 	// the coordinator — which never simulated a single instruction.
@@ -165,7 +165,7 @@ func TestClusterTelemetryByteIdenticalToLocal(t *testing.T) {
 	if code := postJSON(t, localTS.URL+"/jobs", body, &localJob); code != http.StatusAccepted {
 		t.Fatalf("local submit: status %d", code)
 	}
-	waitJob(t, localTS.URL, localJob.ID, nil)
+	waitJob(t, localTS.URL, localJob.ID)
 
 	clusterTL, localTL := timelineSnapshot(t, node.dir), timelineSnapshot(t, localDir)
 	if len(clusterTL) == 0 {

@@ -105,12 +105,12 @@ func newLocalNode(t *testing.T) *coordNode {
 }
 
 // startWorker boots a Worker against the coordinator's URL with its own
-// engine (and optionally its own trace registry), returning its cancel
-// and counters.
-func startWorker(t *testing.T, url, name string, reg *traceset.Registry) (*cluster.Worker, context.CancelFunc, <-chan error) {
+// engine (and optionally its own trace registry and HTTP client),
+// returning its cancel and counters.
+func startWorker(t *testing.T, url, name string, reg *traceset.Registry, hc *http.Client) (*cluster.Worker, context.CancelFunc, <-chan error) {
 	t.Helper()
 	w := cluster.NewWorker(cluster.WorkerOptions{
-		Client:       cluster.NewClient(url, cluster.ClientOptions{Backoff: 5 * time.Millisecond}),
+		Client:       cluster.NewClient(url, cluster.ClientOptions{HTTPClient: hc, Backoff: 5 * time.Millisecond}),
 		Engine:       engine.New(engine.Options{Scale: tiny}),
 		Registry:     reg,
 		Concurrency:  1,
@@ -147,17 +147,13 @@ func postJSON(t *testing.T, url, body string, out any) int {
 	return r.StatusCode
 }
 
-// waitJob polls GET /jobs/{id} until it reaches a terminal state,
-// running onPoll (when set) each iteration.
-func waitJob(t *testing.T, base, id string, onPoll func()) string {
+// waitJob polls GET /jobs/{id} until it reaches a terminal state.
+func waitJob(t *testing.T, base, id string) string {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Minute)
 	for {
 		if time.Now().After(deadline) {
 			t.Fatalf("job %s did not finish", id)
-		}
-		if onPoll != nil {
-			onPoll()
 		}
 		r, err := http.Get(base + "/jobs/" + id)
 		if err != nil {
@@ -225,6 +221,38 @@ func etagOf(t *testing.T, base, query string) string {
 	return etag
 }
 
+// gatedTransport paces one worker of the worker-loss scenario. Each
+// lease request first waits on the channel wait returns (nil: none) or
+// on its own context; onUpload runs after each accepted result upload.
+type gatedTransport struct {
+	wait     func() <-chan struct{}
+	onUpload func()
+}
+
+func (g gatedTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	if ch := g.wait(); ch != nil && req.URL.Path == cluster.PathLease {
+		select {
+		case <-ch:
+		case <-req.Context().Done():
+			return nil, req.Context().Err()
+		}
+	}
+	resp, err := http.DefaultTransport.RoundTrip(req)
+	if err == nil && resp.StatusCode < 300 && req.Method == http.MethodPut &&
+		strings.HasPrefix(req.URL.Path, cluster.PathResults) && g.onUpload != nil {
+		// Read the body before signalling: a kill the signal triggers must
+		// not cancel the read and turn an accepted upload into a failure.
+		body, rerr := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if rerr != nil {
+			return nil, rerr
+		}
+		resp.Body = io.NopCloser(bytes.NewReader(body))
+		g.onUpload()
+	}
+	return resp, err
+}
+
 // TestClusterSweepSurvivesWorkerLoss runs the flagship scenario: an
 // async sweep on a coordinator with two real workers over HTTP, one
 // worker killed after it completes its first unit. The sweep must still
@@ -233,8 +261,26 @@ func etagOf(t *testing.T, base, query string) string {
 func TestClusterSweepSurvivesWorkerLoss(t *testing.T) {
 	node := newCoordNode(t, nil, nil)
 
-	w0, cancel0, errc0 := startWorker(t, node.ts.URL, "doomed", nil)
-	startWorker(t, node.ts.URL, "survivor", nil)
+	// The doomed worker leases alone until its first result upload is
+	// accepted; its next lease then waits until the worker is killed, so
+	// it completes exactly one unit. The survivor's leases wait for that
+	// upload and then run the rest of the sweep.
+	uploaded, never := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	doomed := gatedTransport{
+		wait: func() <-chan struct{} {
+			select {
+			case <-uploaded:
+				return never
+			default:
+				return nil
+			}
+		},
+		onUpload: func() { once.Do(func() { close(uploaded) }) },
+	}
+	survivor := gatedTransport{wait: func() <-chan struct{} { return uploaded }}
+	w0, cancel0, errc0 := startWorker(t, node.ts.URL, "doomed", nil, &http.Client{Transport: doomed})
+	startWorker(t, node.ts.URL, "survivor", nil, &http.Client{Transport: survivor})
 
 	const sweepBody = `{"type":"sweep","request":{"traces":["lbm-1274","bwaves-1963"],"prefetchers":["Gaze"]}}`
 	var submitted struct {
@@ -244,24 +290,17 @@ func TestClusterSweepSurvivesWorkerLoss(t *testing.T) {
 		t.Fatalf("submit: status %d", code)
 	}
 
-	killed := false
-	waitJob(t, node.ts.URL, submitted.ID, func() {
-		// Kill worker 0 the moment it has computed at least one unit:
-		// mid-sweep, with work provably split across nodes.
-		if !killed && w0.Counters().Completed >= 1 {
-			killed = true
-			cancel0()
-			<-errc0
-		}
-	})
-	if !killed {
-		// The sweep finished before worker 0 completed anything — the
-		// loss scenario was not exercised; the scheduling must be rerun
-		// rather than silently passing. With MaxLeaseBatch 1 and two
-		// polling workers this is effectively impossible for a 4-unit
-		// sweep, but fail loudly if it ever happens.
-		t.Fatal("worker 0 never completed a unit before the sweep finished")
+	select {
+	case <-uploaded:
+	case <-time.After(2 * time.Minute):
+		t.Fatal("worker 0 never uploaded a result")
 	}
+	cancel0()
+	<-errc0
+	if n := w0.Counters().Completed; n != 1 {
+		t.Fatalf("worker 0 completed %d units before it was killed, want 1", n)
+	}
+	waitJob(t, node.ts.URL, submitted.ID)
 
 	// The killed worker deregistered (graceful cancel) or its leases
 	// expired; either way the survivor finished the sweep.
@@ -283,7 +322,7 @@ func TestClusterSweepSurvivesWorkerLoss(t *testing.T) {
 	if code := postJSON(t, local.ts.URL+"/jobs", sweepBody, &localJob); code != http.StatusAccepted {
 		t.Fatalf("local submit: status %d", code)
 	}
-	waitJob(t, local.ts.URL, localJob.ID, nil)
+	waitJob(t, local.ts.URL, localJob.ID)
 
 	clusterStore, localStore := storeSnapshot(t, node.dir), storeSnapshot(t, local.dir)
 	if len(clusterStore) == 0 {
@@ -387,7 +426,7 @@ func TestClusterDuplicateUploadOverHTTP(t *testing.T) {
 		t.Errorf("completed = %d, duplicate = %d; want 1 and %d", completed, duplicate, cap(statuses)-1)
 	}
 	// Every unit settled, so the submitted job itself must now succeed.
-	waitJob(t, node.ts.URL, submitted.ID, nil)
+	waitJob(t, node.ts.URL, submitted.ID)
 }
 
 // TestClusterTraceReplication: a sweep over an ingested trace makes the
@@ -418,7 +457,7 @@ func TestClusterTraceReplication(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, _, _ := startWorker(t, node.ts.URL, "replicator", workerReg)
+	w, _, _ := startWorker(t, node.ts.URL, "replicator", workerReg, nil)
 
 	name := workload.IngestedName(manifest.Address)
 	var submitted struct {
@@ -428,7 +467,7 @@ func TestClusterTraceReplication(t *testing.T) {
 	if code := postJSON(t, node.ts.URL+"/jobs", body, &submitted); code != http.StatusAccepted {
 		t.Fatalf("submit: status %d", code)
 	}
-	waitJob(t, node.ts.URL, submitted.ID, nil)
+	waitJob(t, node.ts.URL, submitted.ID)
 
 	if _, ok := workerReg.Get(manifest.Address); !ok {
 		t.Error("worker registry does not hold the replicated trace")
@@ -504,7 +543,7 @@ func TestClusterTraceContinuity(t *testing.T) {
 	if code := postJSON(t, node.ts.URL+"/jobs", body, &submitted); code != http.StatusAccepted {
 		t.Fatalf("submit: status %d", code)
 	}
-	waitJob(t, node.ts.URL, submitted.ID, nil)
+	waitJob(t, node.ts.URL, submitted.ID)
 
 	// The terminal job reports the trace ID every later assertion keys on.
 	r, err := http.Get(node.ts.URL + "/jobs/" + submitted.ID)

@@ -16,8 +16,6 @@ func newBitvec(nbits int) bitvec {
 func (b bitvec) set(i int)      { b.w[i>>6] |= 1 << uint(i&63) }
 func (b bitvec) get(i int) bool { return b.w[i>>6]&(1<<uint(i&63)) != 0 }
 
-func popcount64(w uint64) int { return bits.OnesCount64(w) }
-
 func (b bitvec) popcount() int {
 	n := 0
 	for _, w := range b.w {

@@ -69,7 +69,7 @@ func TestFig2Scenario(t *testing.T) {
 	// Control: the Offset-only variant cannot disambiguate — trained the
 	// same way, its single 64-set PHT holds whichever pattern was learned
 	// last for this trigger, so its prediction for D is order-blind.
-	off1 := NewOffsetOnly()
+	off1 := NewGazeN(1)
 	teach2 := &collect{}
 	playVariant := func(gz *Gaze, page uint64, order []int) {
 		for _, off := range order {

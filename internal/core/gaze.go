@@ -73,13 +73,6 @@ type Config struct {
 	// stride, promote PromoteDegree blocks after skipping PromoteSkip.
 	PromoteDegree int
 	PromoteSkip   int
-
-	// ConfidenceControl enables the extension §IV-B3 sketches as future
-	// work: each (trigger, second) pattern carries a 2-bit confidence
-	// updated by comparing predictions with the region's actual footprint
-	// at deactivation; zero-confidence patterns are rejected (the backup
-	// stride path takes over). Off by default — the paper's base design.
-	ConfidenceControl bool
 }
 
 // DefaultConfig returns the paper's Gaze design point.
@@ -166,11 +159,9 @@ type atEntry struct {
 
 // phtEntry is a Pattern History Table payload: a footprint bit vector
 // (64 bits per line in the default configuration — the storage advantage
-// over PMP's counter vectors, §III-E), plus a 2-bit confidence used only
-// when Config.ConfidenceControl is on.
+// over PMP's counter vectors, §III-E).
 type phtEntry struct {
 	bits bitvec
-	conf uint8
 }
 
 // Gaze is the prefetcher. It implements prefetch.Prefetcher.
@@ -212,7 +203,6 @@ type Stats struct {
 	Stage1None        uint64
 	Stage2Promotions  uint64
 	BackupActivations uint64
-	ConfidenceRejects uint64
 }
 
 // New constructs a Gaze prefetcher; it panics on invalid configuration
@@ -426,12 +416,6 @@ func (g *Gaze) phtPredictNoBackup(e *atEntry) bool {
 		g.stats.PHTMisses++
 		return false
 	}
-	if g.cfg.ConfidenceControl && p.conf == 0 {
-		// Extension: this pattern kept mispredicting — reject it and let
-		// the stride backup handle the region.
-		g.stats.ConfidenceRejects++
-		return false
-	}
 	g.stats.PHTHits++
 	demanded := e.bits
 	p.bits.forEach(g.blocks, func(off int) {
@@ -543,39 +527,7 @@ func (g *Gaze) learn(e *atEntry) {
 		return
 	}
 	set, tag := g.phtKey(e)
-	conf := uint8(1)
-	if g.cfg.ConfidenceControl {
-		if old, ok := g.pht.Peek(set, tag); ok {
-			// Compare the stored pattern against what actually happened:
-			// Jaccard similarity of the footprints.
-			conf = old.conf
-			if footprintSimilarity(old.bits, e.bits) >= 0.75 {
-				if conf < 3 {
-					conf++
-				}
-			} else if conf > 0 {
-				conf--
-			}
-		}
-	}
-	g.pht.Insert(set, tag, phtEntry{bits: e.bits.clone(), conf: conf})
-}
-
-// footprintSimilarity returns |a∩b| / |a∪b| over the footprint bits.
-func footprintSimilarity(a, b bitvec) float64 {
-	var inter, union int
-	for i := range a.w {
-		var bw uint64
-		if i < len(b.w) {
-			bw = b.w[i]
-		}
-		inter += popcount64(a.w[i] & bw)
-		union += popcount64(a.w[i] | bw)
-	}
-	if union == 0 {
-		return 1
-	}
-	return float64(inter) / float64(union)
+	g.pht.Insert(set, tag, phtEntry{bits: e.bits.clone()})
 }
 
 // recordActivation feeds the region-reuse distance histogram: when a

@@ -400,7 +400,7 @@ func TestGazeNMatchLengths(t *testing.T) {
 }
 
 func TestOffsetOnlyIgnoresSecond(t *testing.T) {
-	g := NewOffsetOnly()
+	g := NewGazeN(1)
 	c := &collect{}
 	runRegion(g, c, 0xa00, 0x9000, []int{5, 9, 12})
 	g.EvictNotify(0x9000 * mem.PageSize)
@@ -415,7 +415,7 @@ func TestOffsetOnlyIgnoresSecond(t *testing.T) {
 }
 
 func TestStreamingOnlyVariantsIgnoreNormalRegions(t *testing.T) {
-	for _, g := range []*Gaze{NewPHT4SS(), NewSM4SS()} {
+	for name, g := range map[string]*Gaze{"PHT4SS": NewPHT4SS(), "SM4SS": NewSM4SS()} {
 		c := &collect{}
 		runRegion(g, c, 0xb00, 0xa000, []int{5, 9, 12})
 		g.EvictNotify(0xa000 * mem.PageSize)
@@ -425,23 +425,33 @@ func TestStreamingOnlyVariantsIgnoreNormalRegions(t *testing.T) {
 		drainAll(g, c2)
 		for line := range c2.lines() {
 			if mem.PageNum(mem.Addr(line)) == 0xa100 {
-				t.Errorf("%s prefetched a non-streaming region", VariantName(g))
+				t.Errorf("%s prefetched a non-streaming region", name)
 			}
 		}
 	}
 }
 
-func TestVariantNames(t *testing.T) {
-	cases := map[string]*Gaze{
-		"Gaze":     NewDefault(),
-		"Gaze-PHT": NewGazePHT(),
-		"Offset":   NewOffsetOnly(),
-		"PHT4SS":   NewPHT4SS(),
-		"SM4SS":    NewSM4SS(),
+// TestVariantConfigs pins the switches each named ablation variant
+// flips against the default design point.
+func TestVariantConfigs(t *testing.T) {
+	type sw struct {
+		match                   int
+		streaming, only, backup bool
 	}
-	for want, g := range cases {
-		if got := VariantName(g); got != want {
-			t.Errorf("VariantName = %q, want %q", got, want)
+	cases := map[string]struct {
+		g    *Gaze
+		want sw
+	}{
+		"Gaze":     {NewDefault(), sw{2, true, false, true}},
+		"Gaze-PHT": {NewGazePHT(), sw{2, false, false, false}},
+		"Offset":   {NewGazeN(1), sw{1, false, false, false}},
+		"PHT4SS":   {NewPHT4SS(), sw{2, false, true, false}},
+		"SM4SS":    {NewSM4SS(), sw{2, true, true, true}},
+	}
+	for name, c := range cases {
+		cfg := c.g.Config()
+		if got := (sw{cfg.MatchAccesses, cfg.StreamingModule, cfg.StreamingOnly, cfg.StrideBackup}); got != c.want {
+			t.Errorf("%s: switches = %+v, want %+v", name, got, c.want)
 		}
 	}
 	if NewVGaze(8192).Name() != "vGaze-8KB" {

@@ -13,7 +13,8 @@ import (
 // line-aligned and within the addressed region size.
 func TestPropertyNoPanicsOnRandomStreams(t *testing.T) {
 	variants := []func() *Gaze{
-		NewDefault, NewGazePHT, NewOffsetOnly, NewPHT4SS, NewSM4SS,
+		NewDefault, NewGazePHT, NewPHT4SS, NewSM4SS,
+		func() *Gaze { return NewGazeN(1) },
 		func() *Gaze { return NewGazeN(3) },
 		func() *Gaze { return NewGazeN(4) },
 		func() *Gaze { return NewVGaze(512) },

@@ -1,7 +1,5 @@
 package core
 
-import "fmt"
-
 // This file defines the named Gaze variants used by the paper's ablation
 // experiments (Fig 4, Fig 9, Fig 10, Fig 17, Fig 18).
 
@@ -22,13 +20,6 @@ func NewGazeN(n int) *Gaze {
 		cfg.PHTEntries, cfg.PHTWays = 64, 1
 	}
 	return New(cfg)
-}
-
-// NewOffsetOnly returns the "Offset" characterization of Fig 1/Fig 9:
-// patterns keyed by the trigger offset alone.
-func NewOffsetOnly() *Gaze {
-	g := NewGazeN(1)
-	return g
 }
 
 // NewGazePHT returns "Gaze-PHT" (Fig 9): two-access characterization only,
@@ -68,36 +59,9 @@ func NewVGaze(regionBytes int) *Gaze {
 	return New(cfg)
 }
 
-// NewWithConfidence returns Gaze with the future-work per-pattern
-// confidence control enabled (§IV-B3's sketched extension).
-func NewWithConfidence() *Gaze {
-	cfg := DefaultConfig()
-	cfg.ConfidenceControl = true
-	return New(cfg)
-}
-
 // NewWithPHTEntries returns Gaze with a resized PHT (Fig 17b).
 func NewWithPHTEntries(entries int) *Gaze {
 	cfg := DefaultConfig()
 	cfg.PHTEntries = entries
 	return New(cfg)
-}
-
-// VariantName labels ablation variants for reports.
-func VariantName(g *Gaze) string {
-	cfg := g.Config()
-	switch {
-	case cfg.StreamingOnly && cfg.StreamingModule:
-		return "SM4SS"
-	case cfg.StreamingOnly:
-		return "PHT4SS"
-	case cfg.MatchAccesses == 1:
-		return "Offset"
-	case cfg.MatchAccesses != 2:
-		return fmt.Sprintf("Gaze-%dacc", cfg.MatchAccesses)
-	case !cfg.StreamingModule:
-		return "Gaze-PHT"
-	default:
-		return g.Name()
-	}
 }

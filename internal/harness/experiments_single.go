@@ -185,6 +185,28 @@ func Fig09(r *Runner) []stats.Table {
 	return []stats.Table{t}
 }
 
+// Ablation isolates the two design choices §III-B and §III-C argue for
+// on a trace chosen to show each: strict two-access matching raises
+// accuracy where trigger offsets are ambiguous (fotonik3d_s-8225, Fig 2),
+// and the dedicated streaming module adds speedup on an interleaved
+// graph-compute trace (PageRank-61).
+func Ablation(r *Runner) []stats.Table {
+	t := stats.Table{
+		Title:  "Ablation: strict two-access matching and the streaming module",
+		Header: []string{"design choice", "trace", "variants", "metric", "without", "with", "gain"},
+	}
+	const ambiguous = "fotonik3d_s-8225"
+	off := r.single(ambiguous, "Offset").Accuracy()
+	strict := r.single(ambiguous, "Gaze-PHT").Accuracy()
+	t.AddRow("strict matching", ambiguous, "Offset vs Gaze-PHT", "accuracy",
+		stats.Pct(off), stats.Pct(strict), stats.Pct(strict-off))
+	const graph = "PageRank-61"
+	pht, full := r.Speedup(graph, "Gaze-PHT"), r.Speedup(graph, "Gaze")
+	t.AddRow("streaming module", graph, "Gaze-PHT vs Gaze", "speedup",
+		stats.F(pht, 3), stats.F(full, 3), stats.F(full-pht, 3))
+	return []stats.Table{t}
+}
+
 // fig10Traces are the streaming-representative workloads of Figure 10:
 // per Ligra workload one init-phase and one compute-phase trace.
 var fig10Traces = []string{

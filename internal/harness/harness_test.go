@@ -28,7 +28,7 @@ func TestRegistryComplete(t *testing.T) {
 	want := []string{
 		"fig1", "fig2", "fig4", "fig6", "fig7", "fig8", "fig9", "fig10",
 		"fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "fig17",
-		"fig18", "tab1", "tab4", "tab5",
+		"fig18", "tab1", "tab4", "tab5", "ablation",
 	}
 	for _, id := range want {
 		if _, err := Find(id); err != nil {
@@ -162,6 +162,97 @@ func TestPaperShapeFig10(t *testing.T) {
 	}
 }
 
+// TestPaperShapes checks, at Quick scale, the headline ordering each
+// artifact argues from (arXiv 2412.05211 §V; the ablation rows §III-B and
+// §III-C). Orderings that do not hold at Quick are listed in DESIGN.md §3
+// and not asserted; SPP-PPF rows wait for a deterministic SPP-PPF.
+func TestPaperShapes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation-heavy")
+	}
+	all := func(string) bool { return true }
+	noSPP := func(row string) bool { return !strings.Contains(row, "SPP-PPF") }
+	cases := []struct {
+		id, claim string
+		check     func(t *testing.T, ts []stats.Table)
+	}{
+		{"fig1", "Fig 1: Gaze has the highest cloud and spec17 speedup of the six schemes", func(t *testing.T, ts []stats.Table) {
+			colLeads(t, ts[0], "Gaze", 1, all)
+			colLeads(t, ts[0], "Gaze", 2, all)
+		}},
+		{"fig9", "Fig 9: AVG Offset < Gaze-PHT < Gaze", func(t *testing.T, ts []stats.Table) {
+			rowLeads(t, ts[0], "AVG", 3)
+			if off, pht := cell(ts[0], "AVG", 1), cell(ts[0], "AVG", 2); off >= pht {
+				t.Errorf("AVG Offset %.3f >= Gaze-PHT %.3f", off, pht)
+			}
+		}},
+		{"fig11", "Fig 11: Gaze is best on every category average", func(t *testing.T, ts []stats.Table) {
+			for _, avg := range []string{"avg_all", "avg_cloud", "avg_spec17"} {
+				rowLeads(t, ts[0], avg, 3)
+			}
+		}},
+		{"fig12", "Fig 12: Gaze is best on the GAP and both QMM averages", func(t *testing.T, ts []stats.Table) {
+			rowLeads(t, ts[0], "avg_gap", 3)
+			rowLeads(t, ts[1], "avg_qmm.srv", 3)
+			rowLeads(t, ts[1], "avg_qmm.clt", 3)
+		}},
+		{"fig13", "Fig 13: Gaze leads both the L1+Bingo and the IP-stride+X groups", func(t *testing.T, ts []stats.Table) {
+			colLeads(t, ts[0], "Gaze+Bingo", 1, func(row string) bool { return strings.HasSuffix(row, "+Bingo") })
+			colLeads(t, ts[1], "IP-stride+Gaze", 1, noSPP)
+		}},
+		{"fig17", "Fig 17: the 4KB region is best, 256 PHT entries within 0.001 of best", func(t *testing.T, ts []stats.Table) {
+			rowLeads(t, ts[0], "AVG", 4)
+			for c := 1; c < len(ts[1].Header); c++ {
+				if v, chosen := cell(ts[1], "AVG", c), cell(ts[1], "AVG", 2); v > chosen+0.001 {
+					t.Errorf("AVG %s entries %.3f > 256 entries %.3f + 0.001", ts[1].Header[c], v, chosen)
+				}
+			}
+		}},
+		{"ablation", "§III-B/§III-C: strict matching and the streaming module both gain", func(t *testing.T, ts []stats.Table) {
+			gain := len(ts[0].Header) - 1
+			for _, row := range []string{"strict matching", "streaming module"} {
+				if v := cell(ts[0], row, gain); v <= 0 {
+					t.Errorf("%s gain %.3f <= 0", row, v)
+				}
+			}
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.id, func(t *testing.T) {
+			e, err := Find(c.id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Log(c.claim)
+			c.check(t, e.Tables(testRunner))
+		})
+	}
+}
+
+// rowLeads fails unless tb's cell (row, col) is above every other numeric
+// cell of that row.
+func rowLeads(t *testing.T, tb stats.Table, row string, col int) {
+	t.Helper()
+	top := cell(tb, row, col)
+	for c := 1; c < len(tb.Header); c++ {
+		if v := cell(tb, row, c); c != col && v >= top {
+			t.Errorf("%s: %s %s %.3f >= %s %.3f", tb.Title, row, tb.Header[c], v, tb.Header[col], top)
+		}
+	}
+}
+
+// colLeads fails unless tb's cell (row, col) is above the same column of
+// every other row that in admits.
+func colLeads(t *testing.T, tb stats.Table, row string, col int, in func(string) bool) {
+	t.Helper()
+	top := cell(tb, row, col)
+	for _, r := range tb.Rows {
+		if v := cell(tb, r[0], col); r[0] != row && in(r[0]) && v >= top {
+			t.Errorf("%s: %s %.3f >= %s %.3f", tb.Title, r[0], v, row, top)
+		}
+	}
+}
+
 func TestHeteroMixesDeterministic(t *testing.T) {
 	a := testRunner.heteroMixes(4, 3)
 	b := testRunner.heteroMixes(4, 3)
@@ -191,7 +282,8 @@ func TestGeomeanStats(t *testing.T) {
 
 // TestPlanCoversRender: for every experiment, the dry-run plan names every
 // job the render asks for, so after one RunAll the render simulates
-// nothing and reads only the memo.
+// nothing and reads only the memo; and the render yields at least one
+// table with at least one row.
 func TestPlanCoversRender(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
@@ -200,9 +292,12 @@ func TestPlanCoversRender(t *testing.T) {
 	for _, e := range Experiments() {
 		r.RunAll(e.plan(r))
 		before := r.Engine().Counters().Simulated
-		e.Run(r)
+		tables := e.Run(r)
 		if after := r.Engine().Counters().Simulated; after != before {
 			t.Errorf("%s: render simulated %d jobs its plan missed", e.ID, after-before)
+		}
+		if len(tables) == 0 || len(tables[0].Rows) == 0 {
+			t.Errorf("%s: rendered no table rows", e.ID)
 		}
 	}
 }

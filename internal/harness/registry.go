@@ -20,6 +20,7 @@ type Experiment struct {
 // Experiments returns the full registry, ordered by ID.
 func Experiments() []Experiment {
 	exps := []Experiment{
+		{"ablation", "Design-choice ablations: strict matching and the streaming module", Ablation},
 		{"fig1", "Characterization schemes: CloudSuite vs SPEC17 speedup + storage", Fig01},
 		{"fig2", "Motivation: footprint structure and trigger-offset ambiguity", Fig02},
 		{"fig4", "Number of initial accesses used for matching (1-4)", Fig04},

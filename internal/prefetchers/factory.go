@@ -73,14 +73,12 @@ func New(name string) (prefetch.Prefetcher, error) {
 		return core.NewDefault(), nil
 	case "Gaze-PHT":
 		return core.NewGazePHT(), nil
-	case "Offset":
-		return core.NewOffsetOnly(), nil
+	case "Offset", "Gaze-1acc":
+		return core.NewGazeN(1), nil
 	case "PHT4SS":
 		return core.NewPHT4SS(), nil
 	case "SM4SS":
 		return core.NewSM4SS(), nil
-	case "Gaze-1acc":
-		return core.NewGazeN(1), nil
 	case "Gaze-2acc":
 		return core.NewGazeN(2), nil
 	case "Gaze-3acc":
