@@ -26,21 +26,24 @@ func (nextLine) Train(a prefetch.Access, issue prefetch.IssueFunc) {
 
 func (nextLine) EvictNotify(uint64) {}
 
-// warmSystem builds a single-core system over a materialized trace and
-// advances it past every warm-up transient (cache fill, queue and table
-// population), leaving it in the steady state the simulator spends its
-// life in. Telemetry is armed deliberately: the zero-alloc pins must
-// hold with interval sampling live, proving collection
-// costs one compare per step and boundary appends stay inside the
-// preallocated sample storage.
+// warmSystem builds a single-core system over the cached trace slab (the
+// heap *trace.Columns every engine job steps over) and advances it past
+// every warm-up transient (cache fill, queue and table population),
+// leaving it in the steady state the simulator spends its life in.
+// Telemetry is armed deliberately: the zero-alloc pins must hold with
+// interval sampling live, proving collection costs one compare per step
+// and boundary appends stay inside the preallocated sample storage.
 func warmSystem(tb testing.TB, pf prefetch.Prefetcher) *sim.System {
 	tb.Helper()
 	cfg := sim.DefaultConfig(1)
 	cfg.WarmupInstructions = 0
 	cfg.TelemetryInterval = 5_000
-	recs := workload.MustMaterialize("bwaves_s-2609", 50_000)
+	recs, err := workload.MaterializeRecords("bwaves_s-2609", 50_000)
+	if err != nil {
+		tb.Fatal(err)
+	}
 	sys, err := sim.New(cfg, []sim.CoreSpec{{
-		Trace:        trace.NewLooping(trace.NewSliceReader(recs)),
+		Trace:        trace.NewLooping(trace.NewRecordsReader(recs)),
 		L1Prefetcher: pf,
 	}})
 	if err != nil {

@@ -47,7 +47,7 @@ func main() {
 	}
 
 	if *showStats {
-		st := workload.AnalyzeFootprints(recs)
+		st := workload.AnalyzeFootprints(trace.RecSlice(recs))
 		fmt.Printf("trace               %s\n", *name)
 		fmt.Printf("loads               %d\n", st.Loads)
 		fmt.Printf("regions             %d\n", st.Regions)

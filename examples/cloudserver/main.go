@@ -24,7 +24,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	st := workload.AnalyzeFootprints(recs)
+	st := workload.AnalyzeFootprints(trace.RecSlice(recs))
 	fmt.Printf("workload %s: %d regions, mean footprint density %.1f blocks\n",
 		name, st.Regions, st.MeanDensity)
 	fmt.Printf("trigger ambiguity: %.1f distinct footprints per trigger offset\n", st.TriggerAmbiguity)

@@ -233,8 +233,8 @@ func TestSweepGeneratesTraceOnce(t *testing.T) {
 	if st.Entries != 1 {
 		t.Errorf("trace cache holds %d entries, want 1", st.Entries)
 	}
-	if st.Bytes != int64(tiny.TraceLen)*trace.RecordBytes {
-		t.Errorf("trace cache bytes = %d, want %d", st.Bytes, int64(tiny.TraceLen)*trace.RecordBytes)
+	if want := int64(tiny.TraceLen) * trace.ColumnarRecordBytes; st.Bytes != want {
+		t.Errorf("trace cache bytes = %d, want %d", st.Bytes, want)
 	}
 }
 

@@ -42,7 +42,7 @@ func Fig13(r *Runner) []stats.Table {
 		Title:  "Fig 13 (Group 2): IP-stride at L1 + L2 prefetcher",
 		Header: []string{"combination", "speedup"},
 	}
-	for _, l2 := range append(l2s, "vBerti", "SMS", "Bingo", "DSPatch", "PMP", "Gaze") {
+	for _, l2 := range append(l2s, "vBerti", "SMS", "DSPatch", "PMP", "Gaze") {
 		g2.AddRow("IP-stride+"+l2, stats.F(speedup("IP-stride", l2), 3))
 	}
 	return []stats.Table{g1, g2}

@@ -63,7 +63,7 @@ func Fig02(r *Runner) []stats.Table {
 	for _, tr := range []string{"fotonik3d_s-8225", "lbm-1274", "mcf_s-1554", "cassandra-p0c0", "PageRank-61"} {
 		// The process-wide slab, not a fresh generation: Tables renders
 		// twice (plan, then render) and the sims share the slab too.
-		recs, err := workload.Materialize(tr, r.Scale().TraceLen)
+		recs, err := workload.MaterializeRecords(tr, r.Scale().TraceLen)
 		if err != nil {
 			panic(err)
 		}

@@ -301,3 +301,38 @@ func TestPlanCoversRender(t *testing.T) {
 		}
 	}
 }
+
+// TestRowLabelsUnique: no artifact table prints the same row label twice
+// (a repeated label is a copy-pasted series, never a second reading). A
+// row's label is its first cell and the non-numeric cells that follow it
+// ("mix1 c0" in Fig 15). The dry-run render yields every table's labels
+// without simulating.
+func TestRowLabelsUnique(t *testing.T) {
+	r := NewRunner(Quick)
+	for _, e := range Experiments() {
+		var jobs []Job
+		for _, tb := range e.Run(&Runner{eng: r.eng, planned: &jobs}) {
+			seen := make(map[string]bool, len(tb.Rows))
+			for _, row := range tb.Rows {
+				label := rowLabel(row)
+				if seen[label] {
+					t.Errorf("%s: %q has row %q twice", e.ID, tb.Title, label)
+				}
+				seen[label] = true
+			}
+		}
+	}
+}
+
+// rowLabel joins a row's first cell and the non-numeric cells after it,
+// up to the first numeric one.
+func rowLabel(row []string) string {
+	n := min(1, len(row))
+	for n < len(row) {
+		if _, err := strconv.ParseFloat(strings.TrimSuffix(row[n], "%"), 64); err == nil {
+			break
+		}
+		n++
+	}
+	return strings.Join(row[:n], " ")
+}

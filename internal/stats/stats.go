@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"strings"
+	"unicode/utf8"
 )
 
 // Geomean returns the geometric mean of positive values; zero for empty
@@ -85,14 +86,16 @@ func (t *Table) Fprint(w io.Writer) {
 	if t.Note != "" {
 		fmt.Fprintf(w, "   %s\n", t.Note)
 	}
+	// Widths count runes, as fmt's %*s pads by runes: a byte count
+	// over-pads any column whose widest cell holds multi-byte runes (✔/✘).
 	widths := make([]int, len(t.Header))
 	for i, h := range t.Header {
-		widths[i] = len(h)
+		widths[i] = utf8.RuneCountInString(h)
 	}
 	for _, row := range t.Rows {
 		for i, c := range row {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
+			if n := utf8.RuneCountInString(c); i < len(widths) && n > widths[i] {
+				widths[i] = n
 			}
 		}
 	}

@@ -92,6 +92,26 @@ func TestTableFormatting(t *testing.T) {
 	}
 }
 
+// TestTableFormattingMultiByte: a column of multi-byte cells (Table V's
+// ✔/✘) pads to the same grid as ASCII ones — widths count runes, not
+// bytes.
+func TestTableFormattingMultiByte(t *testing.T) {
+	tb := Table{Title: "marks", Header: []string{"scheme", "ok", "n"}}
+	tb.AddRow("Gaze", "✔", "1")
+	tb.AddRow("Offset", "✘✘", "22")
+	var buf bytes.Buffer
+	tb.Fprint(&buf)
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")[1:]
+	want := []string{
+		"scheme  ok   n",
+		"Gaze     ✔   1",
+		"Offset  ✘✘  22",
+	}
+	if strings.Join(lines, "\n") != strings.Join(want, "\n") {
+		t.Errorf("table =\n%s\nwant\n%s", strings.Join(lines, "\n"), strings.Join(want, "\n"))
+	}
+}
+
 func TestFormatters(t *testing.T) {
 	if F(1.23456, 2) != "1.23" {
 		t.Errorf("F = %q", F(1.23456, 2))

@@ -42,6 +42,11 @@ const (
 	colsHeaderSize = 32
 )
 
+// ColumnarRecordBytes is the size of one record across the four planes
+// (8 B PC, 8 B Addr, 2 B NonMem, 1 B Kind) — the per-record footprint of
+// a Columns slab, mapped or on the heap.
+const ColumnarRecordBytes = 8 + 8 + 2 + 1
+
 // ErrMmapUnsupported reports a platform without memory-mapped file
 // support; callers fall back to heap decoding.
 var ErrMmapUnsupported = errors.New("trace: mmap unsupported on this platform")
@@ -55,7 +60,7 @@ var hostLittleEndian = func() bool {
 
 // ColumnarSize returns the encoded size of an n-record columnar slab.
 func ColumnarSize(n int) int64 {
-	return colsHeaderSize + int64(n)*(8+8+2+1)
+	return colsHeaderSize + int64(n)*ColumnarRecordBytes
 }
 
 // EncodeColumnar serializes recs into the columnar layout.
@@ -88,16 +93,37 @@ type mapping struct {
 }
 
 // Columns is a columnar record slab: four per-field planes viewed either
-// directly over a mapped (or in-memory) encoded buffer, or as heap copies
-// on hosts that cannot reinterpret the encoding in place. It implements
-// Records; At reads one element from each plane and must stay
-// allocation-free (the zero-alloc step loop runs over it).
+// directly over a mapped (or in-memory) encoded buffer, or as heap planes
+// (built by NewColumns, or decoded on hosts that cannot reinterpret the
+// encoding in place). It implements Records; At reads one element from
+// each plane and must stay allocation-free (the zero-alloc step loop runs
+// over it). It is the one slab type the trace cache holds.
 type Columns struct {
 	pc     []uint64
 	addr   []uint64
 	nonmem []uint16
 	kind   []byte
 	src    *mapping // nil unless the planes view an mmap'd region
+}
+
+// NewColumns copies recs into heap planes, in one pass. The result shares
+// nothing with recs, so the caller may drop or reuse the slice: a heap
+// slab costs ColumnarRecordBytes a record instead of a Record's 24.
+func NewColumns(recs []Record) *Columns {
+	n := len(recs)
+	c := &Columns{
+		pc:     make([]uint64, n),
+		addr:   make([]uint64, n),
+		nonmem: make([]uint16, n),
+		kind:   make([]byte, n),
+	}
+	for i, r := range recs {
+		c.pc[i] = r.PC
+		c.addr[i] = r.Addr
+		c.nonmem[i] = r.NonMem
+		c.kind[i] = byte(r.Kind)
+	}
+	return c
 }
 
 // Len implements Records.
@@ -131,7 +157,7 @@ func (c *Columns) HeapBytes() int64 {
 	if c.src != nil {
 		return 0
 	}
-	return int64(len(c.pc))*8 + int64(len(c.addr))*8 + int64(len(c.nonmem))*2 + int64(len(c.kind))
+	return int64(c.Len()) * ColumnarRecordBytes
 }
 
 // Prefix returns a view of the first n records (n <= 0 or beyond the end
@@ -176,7 +202,7 @@ func columnsFromBytes(data []byte, retain *mapping) (*Columns, error) {
 		}
 	}
 	count := binary.LittleEndian.Uint64(data[8:16])
-	if count > uint64(int(^uint(0)>>1))/19 || int64(len(data)) != ColumnarSize(int(count)) {
+	if count > uint64(int(^uint(0)>>1))/ColumnarRecordBytes || int64(len(data)) != ColumnarSize(int(count)) {
 		return nil, fmt.Errorf("%w: columnar size %d does not match %d records", ErrCorrupt, len(data), count)
 	}
 	n := int(count)

@@ -52,6 +52,35 @@ func TestColumnarRoundTrip(t *testing.T) {
 	}
 }
 
+// TestNewColumns: heap planes built from records read back every field,
+// own their memory (the source slice can be reused at once) and cost
+// ColumnarRecordBytes a record.
+func TestNewColumns(t *testing.T) {
+	recs := testRecords(1000)
+	cols := NewColumns(recs)
+	want := append([]Record(nil), recs...)
+	for i := range recs {
+		recs[i] = Record{}
+	}
+	if cols.Len() != len(want) {
+		t.Fatalf("Len = %d, want %d", cols.Len(), len(want))
+	}
+	for i, w := range want {
+		if got := cols.At(i); got != w {
+			t.Fatalf("At(%d) = %+v, want %+v", i, got, w)
+		}
+	}
+	if cols.Mapped() || cols.MappedBytes() != 0 {
+		t.Fatal("heap planes report a mapping")
+	}
+	if got, w := cols.HeapBytes(), int64(len(want))*ColumnarRecordBytes; got != w {
+		t.Fatalf("HeapBytes = %d, want %d", got, w)
+	}
+	if NewColumns(nil).Len() != 0 {
+		t.Fatal("NewColumns(nil) is not empty")
+	}
+}
+
 func TestColumnarRejectsDamage(t *testing.T) {
 	recs := testRecords(16)
 	good := EncodeColumnar(recs)

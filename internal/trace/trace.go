@@ -8,7 +8,6 @@ package trace
 import (
 	"errors"
 	"io"
-	"unsafe"
 )
 
 // Kind classifies the memory operation of a Record.
@@ -39,10 +38,6 @@ type Record struct {
 
 // Instructions returns the number of instructions this record accounts for.
 func (r Record) Instructions() int { return int(r.NonMem) + 1 }
-
-// RecordBytes is the in-memory size of one Record, used for footprint
-// accounting of materialized record slabs.
-const RecordBytes = int64(unsafe.Sizeof(Record{}))
 
 // Reader yields trace records in program order. Next returns io.EOF when
 // the trace is exhausted.

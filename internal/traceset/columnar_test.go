@@ -33,13 +33,9 @@ func TestIngestWritesColumnarSidecar(t *testing.T) {
 		t.Errorf("plane sizes = %+v", ci)
 	}
 
-	slab, err := reg.LoadSlab(m.Name(), 0)
+	cols, err := reg.LoadSlab(m.Name(), 0)
 	if err != nil {
 		t.Fatal(err)
-	}
-	cols, ok := slab.(*trace.Columns)
-	if !ok {
-		t.Fatalf("LoadSlab returned %T, want *trace.Columns", slab)
 	}
 	if cols.Len() != len(recs) {
 		t.Fatalf("slab has %d records, want %d", cols.Len(), len(recs))
@@ -81,7 +77,7 @@ func TestLoadSlabHeapFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, mapped := slab.(*trace.Columns); mapped {
+	if slab.Mapped() {
 		t.Fatal("LoadSlab mapped a slab that does not exist")
 	}
 	if slab.Len() != len(recs) || slab.At(7) != recs[7] {

@@ -13,9 +13,9 @@
 // text, re-gzipped, or re-encoded GZTR dedups onto one entry. The address
 // doubles as the trace's engine-cache identity — a Registry implements
 // workload.Source, so `ingested:<address>` names run through
-// workload.Materialize, engine jobs, sweeps and the HTTP API exactly like
-// catalogue names, and the digest embedded in the name keeps result-store
-// keys sound.
+// workload.MaterializeRecords, engine jobs, sweeps and the HTTP API
+// exactly like catalogue names, and the digest embedded in the name keeps
+// result-store keys sound.
 package traceset
 
 import (
@@ -272,7 +272,7 @@ func (r *Registry) commit(addr string, recs []trace.Record, format trace.Format)
 		SourceFormat: format,
 		IngestedAt:   time.Now().UTC(),
 		StoredBytes:  int64(buf.Len()),
-		Footprint:    workload.AnalyzeFootprints(recs),
+		Footprint:    workload.AnalyzeFootprints(trace.RecSlice(recs)),
 	}
 	manifest, err := json.MarshalIndent(m, "", "\t")
 	if err != nil {
@@ -392,7 +392,8 @@ func (r *Registry) Delete(addr string) error {
 }
 
 // Registry is a workload.Source: ingested traces resolve through
-// workload.Exists / Materialize under their "ingested:<address>" names.
+// workload.Exists / MaterializeRecords under their "ingested:<address>"
+// names.
 var _ workload.Source = (*Registry)(nil)
 
 // Exists implements workload.Source.
@@ -422,8 +423,9 @@ var _ workload.SlabSource = (*Registry)(nil)
 // sidecar read-only and returns an in-place view of up to n records.
 // Entries without a (valid) sidecar — ingested before the columnar format
 // existed and not yet migrated — and platforms without mmap fall back to
-// the heap GZTR decode; the caller cannot tell except by footprint.
-func (r *Registry) LoadSlab(name string, n int) (trace.Records, error) {
+// the GZTR decode copied into heap planes; the caller cannot tell except
+// by footprint.
+func (r *Registry) LoadSlab(name string, n int) (*trace.Columns, error) {
 	addr, ok := workload.IngestedDigest(name)
 	if !ok {
 		return nil, fmt.Errorf("%w: %q is not an ingested trace name", ErrNotFound, name)
@@ -439,7 +441,7 @@ func (r *Registry) LoadSlab(name string, n int) (trace.Records, error) {
 	if err != nil {
 		return nil, err
 	}
-	return trace.RecSlice(recs), nil
+	return trace.NewColumns(recs), nil
 }
 
 // ColumnarInfo describes an entry's columnar sidecar for inspection

@@ -98,7 +98,7 @@ func TestIngestManifestAndFootprint(t *testing.T) {
 	if m.IngestedAt.IsZero() || m.StoredBytes <= 0 {
 		t.Errorf("manifest incomplete: %+v", m)
 	}
-	want := workload.AnalyzeFootprints(recs)
+	want := workload.AnalyzeFootprints(trace.RecSlice(recs))
 	if m.Footprint != want {
 		t.Errorf("footprint = %+v, want %+v", m.Footprint, want)
 	}

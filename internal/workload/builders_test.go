@@ -99,8 +99,8 @@ func TestCloudChurn(t *testing.T) {
 	// the second half should not be identical to the first half.
 	recs := kindRecords(t, kindCloud, 80000)
 	half := len(recs) / 2
-	a := AnalyzeFootprints(recs[:half])
-	b := AnalyzeFootprints(recs[half:])
+	a := AnalyzeFootprints(trace.RecSlice(recs[:half]))
+	b := AnalyzeFootprints(trace.RecSlice(recs[half:]))
 	if a.Regions == 0 || b.Regions == 0 {
 		t.Fatal("no regions in cloud halves")
 	}

@@ -9,14 +9,15 @@ import (
 
 // This file implements the process-wide materialized-trace cache. Every
 // entry point that simulates — the engine's sweep shards, gazeserve
-// handlers, benchmarks — asks for traces through Materialize (heap record
-// slabs) or MaterializeRecords (which additionally serves mmap-backed
-// columnar slabs for sources that provide them), so N prefetchers x M
-// config points over one trace generate it exactly once per process
-// instead of once per job. Entries are immutable slabs keyed by {name,
-// length, kind}; population is single-flight, so concurrent shards
-// requesting the same trace block on one generation instead of racing
-// duplicates.
+// handlers, benchmarks — asks for traces through MaterializeRecords, so N
+// prefetchers x M config points over one trace generate it exactly once
+// per process instead of once per job. Entries are immutable
+// *trace.Columns slabs keyed by {name, length}: catalogue traces and
+// plain Sources are generated (or loaded) and copied into heap planes at
+// trace.ColumnarRecordBytes a record, SlabSources hand back an
+// mmap-backed view of the same layout. Population is single-flight, so
+// concurrent shards requesting the same trace block on one generation
+// instead of racing duplicates.
 //
 // The cache is byte-budget bounded: synthetic slabs are small and
 // regenerate cheaply, but once arbitrarily large ingested traces join the
@@ -35,7 +36,7 @@ import (
 type CacheStats struct {
 	// Entries is the number of materialized traces resident in memory.
 	Entries int `json:"entries"`
-	// Hits counts Materialize calls served an existing (or in-flight)
+	// Hits counts materialize calls served an existing (or in-flight)
 	// slab; Misses counts calls that generated one.
 	Hits   uint64 `json:"hits"`
 	Misses uint64 `json:"misses"`
@@ -49,14 +50,10 @@ type CacheStats struct {
 	Evictions uint64 `json:"evictions"`
 }
 
-// traceKey identifies one cache slot. mapped separates the heap slab a
-// Materialize caller gets from the mapped slab a MaterializeRecords caller
-// gets for the same {name, n}: the two representations have different
-// memory economics and invalidate independently.
+// traceKey identifies one cache slot.
 type traceKey struct {
-	name   string
-	n      int
-	mapped bool
+	name string
+	n    int
 }
 
 // traceEntry is one cache slot. ready is closed once slab/err are final;
@@ -65,7 +62,7 @@ type traceKey struct {
 // lastUse drive LRU eviction and are guarded by traceCache.mu.
 type traceEntry struct {
 	ready   chan struct{}
-	slab    trace.Records
+	slab    *trace.Columns
 	err     error
 	done    bool
 	bytes   int64 // heap footprint, counted against the budget
@@ -129,12 +126,12 @@ func evictLocked(keep *traceEntry) {
 	}
 }
 
-// materializeSlab is the single-flight core under Materialize and
-// MaterializeRecords: one cache slot per key, exactly one generation per
-// cold key, byte accounting by slab kind. hit reports whether an
-// existing (or in-flight) slab served the call — the engine's
-// materialize spans record it as a cache=hit|miss attribute.
-func materializeSlab(key traceKey, gen func() (trace.Records, error)) (_ trace.Records, hit bool, _ error) {
+// materializeSlab is the single-flight core under MaterializeRecords:
+// one cache slot per key, exactly one generation per cold key, heap and
+// mapped bytes accounted apart. hit reports whether an existing (or
+// in-flight) slab served the call — the engine's materialize spans record
+// it as a cache=hit|miss attribute.
+func materializeSlab(key traceKey, gen func() (*trace.Columns, error)) (_ *trace.Columns, hit bool, _ error) {
 	traceCache.mu.Lock()
 	if e, ok := traceCache.entries[key]; ok {
 		traceCache.hits++
@@ -161,7 +158,7 @@ func materializeSlab(key traceKey, gen func() (trace.Records, error)) (_ trace.R
 			delete(traceCache.entries, key)
 		} else {
 			e.done = true
-			e.bytes, e.mapped = slabFootprint(e.slab)
+			e.bytes, e.mapped = e.slab.HeapBytes(), e.slab.MappedBytes()
 			traceCache.clock++
 			e.lastUse = traceCache.clock
 			traceCache.bytes += e.bytes
@@ -174,44 +171,31 @@ func materializeSlab(key traceKey, gen func() (trace.Records, error)) (_ trace.R
 	return e.slab, false, e.err
 }
 
-// slabFootprint splits a slab's memory cost into budget-relevant heap
-// bytes and page-cache-backed mapped bytes.
-func slabFootprint(s trace.Records) (heap, mapped int64) {
-	switch v := s.(type) {
-	case trace.RecSlice:
-		return int64(len(v)) * trace.RecordBytes, 0
-	case *trace.Columns:
-		return v.HeapBytes(), v.MappedBytes()
-	default:
-		return int64(s.Len()) * trace.RecordBytes, 0
-	}
-}
-
-// Materialize returns the first n records of the named workload from the
-// process-wide cache, generating (or source-loading) them on first
-// request. The returned slice is shared and immutable: callers must not
-// modify it (wrap it in trace.NewSliceReader / trace.NewLooping to consume
-// it). It is safe for concurrent use from any number of goroutines.
+// Materialize returns a fresh copy of the first n records of the named
+// workload, read from the process-wide cache (which generates or
+// source-loads the slab on first request). The caller owns the slice.
+// Simulation paths use MaterializeRecords, which shares the cached slab
+// instead of copying it.
 func Materialize(name string, n int) ([]trace.Record, error) {
-	slab, _, err := materializeSlab(traceKey{name: name, n: n}, func() (trace.Records, error) {
-		recs, err := produce(name, n)
-		if err != nil {
-			return nil, err
-		}
-		return trace.RecSlice(recs), nil
-	})
+	slab, err := MaterializeRecords(name, n)
 	if err != nil {
 		return nil, err
 	}
-	return []trace.Record(slab.(trace.RecSlice)), nil
+	recs := make([]trace.Record, slab.Len())
+	for i := range recs {
+		recs[i] = slab.At(i)
+	}
+	return recs, nil
 }
 
-// MaterializeRecords is Materialize behind the trace.Records seam: for
-// names served by a SlabSource it caches whatever slab the source hands
-// back — preferably an mmap-backed columnar view, whose bytes live in the
-// page cache instead of the heap — and for everything else (catalogue
-// names, plain Sources) it returns the heap slab Materialize would. The
-// engine's step loop iterates either kind through the same accessor.
+// MaterializeRecords returns the first n records of the named workload
+// as the cached, shared and immutable slab, generating (or
+// source-loading) it on first request. Names served by a SlabSource get
+// whatever columnar slab the source hands back — preferably an
+// mmap-backed view, whose bytes live in the page cache instead of the
+// heap; catalogue names and plain Sources get heap planes. The engine's
+// step loop iterates either through the same accessor. It is safe for
+// concurrent use from any number of goroutines.
 func MaterializeRecords(name string, n int) (trace.Records, error) {
 	slab, _, err := MaterializeRecordsCached(name, n)
 	return slab, err
@@ -222,19 +206,22 @@ func MaterializeRecords(name string, n int) (trace.Records, error) {
 // generated by this call. Observability-only — the slab is identical
 // either way.
 func MaterializeRecordsCached(name string, n int) (trace.Records, bool, error) {
-	ss, _ := sourceFor(name).(SlabSource)
-	if ss == nil {
-		return materializeSlab(traceKey{name: name, n: n}, func() (trace.Records, error) {
-			recs, err := produce(name, n)
-			if err != nil {
-				return nil, err
-			}
-			return trace.RecSlice(recs), nil
-		})
+	gen := func() (*trace.Columns, error) {
+		recs, err := produce(name, n)
+		if err != nil {
+			return nil, err
+		}
+		return trace.NewColumns(recs), nil
 	}
-	return materializeSlab(traceKey{name: name, n: n, mapped: true}, func() (trace.Records, error) {
-		return ss.LoadSlab(name, n)
-	})
+	if ss, ok := sourceFor(name).(SlabSource); ok {
+		gen = func() (*trace.Columns, error) { return ss.LoadSlab(name, n) }
+	}
+	slab, hit, err := materializeSlab(traceKey{name: name, n: n}, gen)
+	if err != nil {
+		// A nil *Columns in a non-nil Records would read as a slab.
+		return nil, hit, err
+	}
+	return slab, hit, nil
 }
 
 // MustMaterialize is Materialize for known-good names; it panics on error.
@@ -247,12 +234,11 @@ func MustMaterialize(name string, n int) []trace.Record {
 }
 
 // InvalidateTrace drops every resident slab of the named trace, at any
-// length and of either kind. It is the delete-side hook for registry
-// traces: after an ingested trace is removed from disk, its cached slabs
-// must not keep serving a name that no longer resolves. In-flight
-// generations are left to complete (their callers hold the slab either
-// way). Invalidations are not counted as evictions — the budget did not
-// force them.
+// length. It is the delete-side hook for registry traces: after an
+// ingested trace is removed from disk, its cached slabs must not keep
+// serving a name that no longer resolves. In-flight generations are left
+// to complete (their callers hold the slab either way). Invalidations are
+// not counted as evictions — the budget did not force them.
 func InvalidateTrace(name string) {
 	traceCache.mu.Lock()
 	defer traceCache.mu.Unlock()
@@ -282,7 +268,7 @@ func TraceCacheStats() CacheStats {
 // ResetTraceCache discards every materialized trace, zeroes the counters
 // and restores an unbounded budget. It is for tests and benchmarks that
 // need a cold cache or a clean counter baseline; callers must ensure no
-// Materialize call is in flight (in-flight generations complete against
+// materialize call is in flight (in-flight generations complete against
 // the old entries and are simply not retained).
 func ResetTraceCache() {
 	traceCache.mu.Lock()

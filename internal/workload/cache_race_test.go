@@ -8,7 +8,7 @@ import (
 )
 
 // TestTraceCacheBudgetRace is the -race regression net for the
-// byte-budget LRU: many goroutines Materialize distinct traces whose
+// byte-budget LRU: many goroutines materialize distinct traces whose
 // combined footprint sits well past the budget, so evictions happen
 // continuously while lookups, generations and a stats monitor run. The
 // invariants under test:
@@ -25,7 +25,7 @@ func TestTraceCacheBudgetRace(t *testing.T) {
 	t.Cleanup(ResetTraceCache)
 
 	const n = 2_000 // records per slab
-	slabBytes := int64(n) * trace.RecordBytes
+	slabBytes := int64(n) * trace.ColumnarRecordBytes
 	budget := slabBytes*3 + slabBytes/2 // room for 3 slabs, never 4
 	SetTraceCacheBudget(budget)
 
@@ -80,13 +80,13 @@ func TestTraceCacheBudgetRace(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 40; i++ {
 				name := traces[(g+i)%len(traces)]
-				recs, err := Materialize(name, n)
+				recs, err := MaterializeRecords(name, n)
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				if len(recs) != n {
-					t.Errorf("%s: %d records, want %d", name, len(recs), n)
+				if recs.Len() != n {
+					t.Errorf("%s: %d records, want %d", name, recs.Len(), n)
 					return
 				}
 			}
@@ -125,14 +125,14 @@ func TestTraceCacheBudgetBoundarySingleflight(t *testing.T) {
 	t.Cleanup(ResetTraceCache)
 
 	const n = 2_000
-	SetTraceCacheBudget(int64(n) * trace.RecordBytes) // exactly one slab fits
+	SetTraceCacheBudget(int64(n) * trace.ColumnarRecordBytes) // exactly one slab fits
 
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := Materialize("lbm-1274", n); err != nil {
+			if _, err := MaterializeRecords("lbm-1274", n); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -149,7 +149,7 @@ func TestTraceCacheBudgetBoundarySingleflight(t *testing.T) {
 	if st.Evictions != 0 {
 		t.Fatalf("evictions = %d: the just-materialized slab must be keep-exempt", st.Evictions)
 	}
-	if st.Bytes > int64(n)*trace.RecordBytes {
+	if st.Bytes > int64(n)*trace.ColumnarRecordBytes {
 		t.Fatalf("bytes = %d exceed the one-slab budget", st.Bytes)
 	}
 }

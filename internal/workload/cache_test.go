@@ -7,15 +7,28 @@ import (
 	"repro/internal/trace"
 )
 
+// mustRecords is MaterializeRecords for known-good names.
+func mustRecords(t testing.TB, name string, n int) trace.Records {
+	t.Helper()
+	slab, err := MaterializeRecords(name, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return slab
+}
+
 func TestMaterializeSharesOneSlab(t *testing.T) {
 	ResetTraceCache()
-	a := MustMaterialize("lbm-1274", 2_000)
-	b := MustMaterialize("lbm-1274", 2_000)
-	if &a[0] != &b[0] {
-		t.Error("repeated Materialize returned distinct slabs")
+	a := mustRecords(t, "lbm-1274", 2_000)
+	b := mustRecords(t, "lbm-1274", 2_000)
+	if a != b {
+		t.Error("repeated MaterializeRecords returned distinct slabs")
 	}
-	c := MustMaterialize("lbm-1274", 3_000) // different length = different key
-	if len(c) != 3_000 || &a[0] == &c[0] {
+	if cols, ok := a.(*trace.Columns); !ok || cols.Mapped() {
+		t.Errorf("catalogue slab is %T, want heap *trace.Columns", a)
+	}
+	c := mustRecords(t, "lbm-1274", 3_000) // different length = different key
+	if c.Len() != 3_000 || a == c {
 		t.Error("different length shared a slab")
 	}
 
@@ -23,8 +36,28 @@ func TestMaterializeSharesOneSlab(t *testing.T) {
 	if st.Entries != 2 || st.Misses != 2 || st.Hits != 1 {
 		t.Errorf("stats = %+v, want 2 entries, 2 misses, 1 hit", st)
 	}
-	if want := int64(5_000) * trace.RecordBytes; st.Bytes != want {
+	if want := int64(5_000) * trace.ColumnarRecordBytes; st.Bytes != want {
 		t.Errorf("bytes = %d, want %d", st.Bytes, want)
+	}
+}
+
+// TestMaterializeReturnsCopy: Materialize hands each caller its own
+// slice, read from the one cached slab — writing to it changes neither
+// the slab nor the next caller's copy, and costs no generation.
+func TestMaterializeReturnsCopy(t *testing.T) {
+	ResetTraceCache()
+	a := MustMaterialize("lbm-1274", 2_000)
+	want := a[0]
+	a[0] = trace.Record{}
+	b := MustMaterialize("lbm-1274", 2_000)
+	if &a[0] == &b[0] || b[0] != want {
+		t.Error("Materialize shared its slice with an earlier caller")
+	}
+	if got := mustRecords(t, "lbm-1274", 2_000).At(0); got != want {
+		t.Errorf("cached slab record 0 = %+v after a copy was written, want %+v", got, want)
+	}
+	if st := TraceCacheStats(); st.Entries != 1 || st.Misses != 1 {
+		t.Errorf("stats = %+v, want 1 entry / 1 miss", st)
 	}
 }
 
@@ -33,8 +66,8 @@ func TestMaterializeSharesOneSlab(t *testing.T) {
 func TestMaterializeHitZeroAlloc(t *testing.T) {
 	ResetTraceCache()
 	defer ResetTraceCache()
-	MustMaterialize("bwaves_s-2609", 2_000)
-	if n := testing.AllocsPerRun(200, func() { MustMaterialize("bwaves_s-2609", 2_000) }); n != 0 {
+	mustRecords(t, "bwaves_s-2609", 2_000)
+	if n := testing.AllocsPerRun(200, func() { mustRecords(t, "bwaves_s-2609", 2_000) }); n != 0 {
 		t.Errorf("materialize cache hit allocates %.1f times per call, want 0", n)
 	}
 }
@@ -70,14 +103,13 @@ func TestMaterializeUnknownNameNotCached(t *testing.T) {
 func TestMaterializeSingleFlight(t *testing.T) {
 	ResetTraceCache()
 	const workers = 16
-	slabs := make([]*trace.Record, workers)
+	slabs := make([]trace.Records, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			recs := MustMaterialize("cassandra-p0c0", 4_000)
-			slabs[w] = &recs[0]
+			slabs[w] = mustRecords(t, "cassandra-p0c0", 4_000)
 		}(w)
 	}
 	wg.Wait()
@@ -112,13 +144,13 @@ func TestTraceCacheBudgetEvictsLRU(t *testing.T) {
 	ResetTraceCache()
 	defer ResetTraceCache()
 	const n = 1_000
-	slab := int64(n) * trace.RecordBytes
+	slab := int64(n) * trace.ColumnarRecordBytes
 	SetTraceCacheBudget(2 * slab)
 
-	MustMaterialize("lbm-1274", n)         // LRU after the touch below
-	MustMaterialize("mcf_s-1554", n)       //
-	MustMaterialize("lbm-1274", n)         // touch: mcf is now LRU
-	MustMaterialize("fotonik3d_s-8225", n) // over budget: evicts mcf
+	mustRecords(t, "lbm-1274", n)         // LRU after the touch below
+	mustRecords(t, "mcf_s-1554", n)       //
+	mustRecords(t, "lbm-1274", n)         // touch: mcf is now LRU
+	mustRecords(t, "fotonik3d_s-8225", n) // over budget: evicts mcf
 
 	st := TraceCacheStats()
 	if st.Entries != 2 || st.Bytes != 2*slab {
@@ -129,15 +161,14 @@ func TestTraceCacheBudgetEvictsLRU(t *testing.T) {
 	}
 
 	missesBefore := st.Misses
-	a := MustMaterialize("lbm-1274", n) // still resident: hit
+	mustRecords(t, "lbm-1274", n) // still resident: hit
 	if TraceCacheStats().Misses != missesBefore {
 		t.Error("lbm-1274 was evicted but should have been recently used")
 	}
-	MustMaterialize("mcf_s-1554", n) // evicted: regenerates
+	mustRecords(t, "mcf_s-1554", n) // evicted: regenerates
 	if got := TraceCacheStats().Misses; got != missesBefore+1 {
 		t.Errorf("misses = %d, want %d (mcf should regenerate)", got, missesBefore+1)
 	}
-	_ = a
 }
 
 // TestTraceCacheBudgetKeepsNewestSlab: a single slab larger than the
@@ -170,7 +201,7 @@ func TestSetTraceCacheBudgetEvictsImmediately(t *testing.T) {
 	defer ResetTraceCache()
 	MustMaterialize("lbm-1274", 1_000)
 	MustMaterialize("mcf_s-1554", 1_000)
-	SetTraceCacheBudget(int64(1_000)*trace.RecordBytes + 1)
+	SetTraceCacheBudget(int64(1_000)*trace.ColumnarRecordBytes + 1)
 	st := TraceCacheStats()
 	if st.Entries != 1 || st.Evictions != 1 {
 		t.Errorf("after budget drop: %+v, want 1 entry / 1 eviction", st)

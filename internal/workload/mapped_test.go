@@ -15,7 +15,9 @@ type slabSource struct {
 	cols *trace.Columns
 }
 
-func (s *slabSource) LoadSlab(name string, n int) (trace.Records, error) {
+var _ SlabSource = (*slabSource)(nil)
+
+func (s *slabSource) LoadSlab(name string, n int) (*trace.Columns, error) {
 	if name != s.name {
 		return nil, errTestNoTrace
 	}
@@ -92,8 +94,8 @@ func TestMaterializeRecordsMapped(t *testing.T) {
 }
 
 // TestMaterializeRecordsHeapFallback: a plain Source (no LoadSlab) serves
-// MaterializeRecords through the heap path, sharing bytes accounting with
-// Materialize.
+// MaterializeRecords its Load records copied into heap planes, counted
+// against the heap budget.
 func TestMaterializeRecordsHeapFallback(t *testing.T) {
 	ResetTraceCache()
 	ResetSources()
@@ -111,11 +113,14 @@ func TestMaterializeRecordsHeapFallback(t *testing.T) {
 	if slab.Len() != 2 || slab.At(1) != recs[1] {
 		t.Fatalf("heap-fallback slab = %v", slab)
 	}
+	if cols, ok := slab.(*trace.Columns); !ok || cols.Mapped() {
+		t.Errorf("heap-fallback slab is %T, want heap *trace.Columns", slab)
+	}
 	st := TraceCacheStats()
 	if st.MappedBytes != 0 {
 		t.Errorf("heap fallback accounted %d mapped bytes", st.MappedBytes)
 	}
-	if st.Bytes == 0 {
-		t.Error("heap fallback accounted no heap bytes")
+	if want := int64(2) * trace.ColumnarRecordBytes; st.Bytes != want {
+		t.Errorf("heap fallback accounted %d heap bytes, want %d", st.Bytes, want)
 	}
 }

@@ -12,8 +12,8 @@ import (
 // know — most importantly the traceset registry's ingested real traces,
 // referenced as "ingested:<content-address>" — so the engine, sweeps and
 // the HTTP API accept registry names exactly like catalogue names: Exists
-// validates them, Materialize caches their slabs, and TraceDigest folds
-// their content identity into engine cache keys.
+// validates them, MaterializeRecords caches their slabs, and TraceDigest
+// folds their content identity into engine cache keys.
 
 // IngestedPrefix namespaces registry trace names: "ingested:<address>",
 // where <address> is the trace's content address (the SHA-256 of its
@@ -59,13 +59,14 @@ type Source interface {
 }
 
 // SlabSource optionally extends Source with direct slab access: LoadSlab
-// returns up to n records as a trace.Records, preferring a zero-copy
-// mapped representation (an mmap'd columnar sidecar) over a heap decode
-// when one is available. Sources that cannot do better than Load simply
-// don't implement it; MaterializeRecords falls back to the heap path.
+// returns up to n records as a columnar slab, preferring a zero-copy
+// mapped view (an mmap'd columnar sidecar) over a heap decode when one is
+// available. Sources that cannot do better than Load simply don't
+// implement it; MaterializeRecords copies Load's records into heap
+// planes instead.
 type SlabSource interface {
 	Source
-	LoadSlab(name string, n int) (trace.Records, error)
+	LoadSlab(name string, n int) (*trace.Columns, error)
 }
 
 var sourceReg struct {
@@ -74,8 +75,8 @@ var sourceReg struct {
 }
 
 // RegisterSource plugs a Source into the process-wide name resolution used
-// by Exists and Materialize. Sources are consulted in registration order,
-// after the synthetic catalogue.
+// by Exists and MaterializeRecords. Sources are consulted in registration
+// order, after the synthetic catalogue.
 func RegisterSource(s Source) {
 	sourceReg.mu.Lock()
 	defer sourceReg.mu.Unlock()

@@ -36,7 +36,7 @@ type FootprintStats struct {
 
 // AnalyzeFootprints replays records and reconstructs per-region footprints
 // plus first-two-access ordering statistics.
-func AnalyzeFootprints(recs []trace.Record) FootprintStats {
+func AnalyzeFootprints(recs trace.Records) FootprintStats {
 	type regionInfo struct {
 		bits    uint64
 		trigger int
@@ -44,10 +44,13 @@ func AnalyzeFootprints(recs []trace.Record) FootprintStats {
 		count   int
 	}
 	regions := make(map[uint64]*regionInfo)
-	for _, r := range recs {
+	var st FootprintStats
+	for i := 0; i < recs.Len(); i++ {
+		r := recs.At(i)
 		if r.Kind != trace.Load {
 			continue
 		}
+		st.Loads++
 		page := mem.PageNum(mem.Addr(r.Addr))
 		off := mem.BlockOffset(mem.Addr(r.Addr))
 		ri := regions[page]
@@ -64,12 +67,6 @@ func AnalyzeFootprints(recs []trace.Record) FootprintStats {
 		ri.bits |= 1 << uint(off)
 	}
 
-	var st FootprintStats
-	for _, r := range recs {
-		if r.Kind == trace.Load {
-			st.Loads++
-		}
-	}
 	st.Regions = len(regions)
 	if st.Regions == 0 {
 		return st

@@ -108,7 +108,7 @@ func Exists(name string) bool {
 
 // produce yields the first n records of a trace name from wherever it
 // resolves: the synthetic catalogue generates them, registered Sources
-// load them. It is the supply behind Materialize.
+// load them. It is the supply behind MaterializeRecords.
 func produce(name string, n int) ([]trace.Record, error) {
 	if _, ok := registry[name]; ok {
 		return Generate(name, n)

@@ -115,7 +115,7 @@ func TestDifferentTracesDiffer(t *testing.T) {
 }
 
 func TestStreamingIsDense(t *testing.T) {
-	st := AnalyzeFootprints(MustGenerate("lbm-1274", 40000))
+	st := AnalyzeFootprints(trace.RecSlice(MustGenerate("lbm-1274", 40000)))
 	if st.MeanDensity < 30 {
 		t.Errorf("streaming mean density = %.1f, want high", st.MeanDensity)
 	}
@@ -125,7 +125,7 @@ func TestStreamingIsDense(t *testing.T) {
 }
 
 func TestIrregularIsSparse(t *testing.T) {
-	st := AnalyzeFootprints(MustGenerate("mcf_s-1554", 40000))
+	st := AnalyzeFootprints(trace.RecSlice(MustGenerate("mcf_s-1554", 40000)))
 	if st.MeanDensity > 8 {
 		t.Errorf("irregular mean density = %.1f, want low", st.MeanDensity)
 	}
@@ -135,8 +135,8 @@ func TestIrregularIsSparse(t *testing.T) {
 }
 
 func TestCloudIsTriggerAmbiguous(t *testing.T) {
-	cloud := AnalyzeFootprints(MustGenerate("cassandra-p0c0", 60000))
-	strm := AnalyzeFootprints(MustGenerate("lbm-1274", 60000))
+	cloud := AnalyzeFootprints(trace.RecSlice(MustGenerate("cassandra-p0c0", 60000)))
+	strm := AnalyzeFootprints(trace.RecSlice(MustGenerate("lbm-1274", 60000)))
 	if cloud.TriggerAmbiguity <= strm.TriggerAmbiguity {
 		t.Errorf("cloud ambiguity %.2f <= streaming %.2f; trigger collisions missing",
 			cloud.TriggerAmbiguity, strm.TriggerAmbiguity)
@@ -148,7 +148,7 @@ func TestCloudIsTriggerAmbiguous(t *testing.T) {
 }
 
 func TestGraphComputeMixesDenseAndSparse(t *testing.T) {
-	st := AnalyzeFootprints(MustGenerate("PageRank-61", 60000))
+	st := AnalyzeFootprints(trace.RecSlice(MustGenerate("PageRank-61", 60000)))
 	if st.Dense == 0 {
 		t.Error("graph compute has no dense (frontier) regions")
 	}
@@ -170,7 +170,7 @@ func TestServerLowIntensityHighLocality(t *testing.T) {
 		t.Errorf("server mean gap = %.1f, want >= 9 (low memory intensity)", meanGap)
 	}
 	// High page-level reuse: touched regions far fewer than accesses.
-	st := AnalyzeFootprints(recs)
+	st := AnalyzeFootprints(trace.RecSlice(recs))
 	if st.Regions > loads/4 {
 		t.Errorf("server regions = %d for %d loads; want strong locality", st.Regions, loads)
 	}
@@ -240,7 +240,7 @@ func TestTopPCs(t *testing.T) {
 }
 
 func TestAnalyzeFootprintsEmpty(t *testing.T) {
-	st := AnalyzeFootprints(nil)
+	st := AnalyzeFootprints(trace.RecSlice(nil))
 	if st.Regions != 0 || st.MeanDensity != 0 {
 		t.Errorf("empty analysis = %+v", st)
 	}
@@ -255,7 +255,7 @@ func TestFootprintSecondOffsetTracking(t *testing.T) {
 			PC: loadPCBase, Addr: page + uint64(off)*mem.LineSize, Kind: trace.Load,
 		})
 	}
-	st := AnalyzeFootprints(recs)
+	st := AnalyzeFootprints(trace.RecSlice(recs))
 	if st.Regions != 1 || st.Dense != 1 {
 		t.Errorf("stats = %+v, want one dense region", st)
 	}
