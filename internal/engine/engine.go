@@ -14,7 +14,10 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"runtime/pprof"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -199,6 +202,28 @@ func (j Job) String() string {
 		s += fmt.Sprintf("|%+v", j.Overrides)
 	}
 	return s
+}
+
+// prefetcherLabel names the job's prefetchers for CPU-profile labels:
+// each core's L1 prefetcher ("none" when it has none), joined by "+" to
+// its L2 prefetcher, distinct names comma-separated in core order.
+func (j Job) prefetcherLabel() string {
+	n := len(j.Traces)
+	l1, l2 := Broadcast(j.L1, n), Broadcast(j.L2, n)
+	var names []string
+	for i := range n {
+		name := l1[i]
+		if name == "" {
+			name = "none"
+		}
+		if l2[i] != "" && l2[i] != "none" {
+			name += "+" + l2[i]
+		}
+		if !slices.Contains(names, name) {
+			names = append(names, name)
+		}
+	}
+	return strings.Join(names, ",")
 }
 
 // Validate reports whether the job can execute: every trace is in the
@@ -547,6 +572,12 @@ func (e *Engine) run(ctx context.Context, j Job, key string) (res sim.Result, ca
 		}
 	}
 	if !cached {
+		// CPU-profile labels: a -debug-addr profile splits by job and
+		// prefetcher, and phase() adds the phase.
+		parent := ctx
+		ctx = pprof.WithLabels(ctx, pprof.Labels("job", hashKey(key), "prefetcher", j.prefetcherLabel()))
+		pprof.SetGoroutineLabels(ctx)
+		defer pprof.SetGoroutineLabels(parent)
 		// The semaphore wait is the last cancellation point: once a
 		// simulation starts it runs to completion, so a cancelled sweep
 		// stops at the next job boundary rather than corrupting state
@@ -601,16 +632,21 @@ func (e *Engine) config(cores int) sim.Config {
 	return cfg
 }
 
-// phase opens an engine-phase span ("engine."+name) under ctx and
-// returns it plus a completion func that ends the span and feeds the
-// phase histogram. Instrumentation stops at this granularity — phases
-// wrap whole simulations and materializations, never the per-record
-// step loop, so the hot path stays allocation-free.
+// phase opens an engine-phase span ("engine."+name) under ctx, labels
+// the goroutine's CPU-profile samples with the phase, and returns the
+// span plus a completion func that ends it, restores ctx's labels and
+// feeds the phase histogram. Instrumentation stops at this granularity —
+// phases wrap whole simulations and materializations, never the
+// per-record step loop, so the hot path stays allocation-free.
 func (e *Engine) phase(ctx context.Context, name string, attrs ...obs.Attr) (context.Context, *obs.Span, func()) {
 	start := time.Now()
+	parent := ctx
+	ctx = pprof.WithLabels(ctx, pprof.Labels("phase", name))
+	pprof.SetGoroutineLabels(ctx)
 	ctx, sp := obs.Start(ctx, "engine."+name, attrs...)
 	return ctx, sp, func() {
 		sp.End()
+		pprof.SetGoroutineLabels(parent)
 		e.phases.Observe(name, time.Since(start).Seconds())
 	}
 }

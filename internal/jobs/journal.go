@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"repro/internal/engine"
@@ -58,6 +59,11 @@ func openJournal(path string) (*journal, []entry, error) {
 			var e entry
 			if err := json.Unmarshal(line, &e); err != nil || e.ID == "" {
 				continue // torn tail or foreign garbage
+			}
+			if strings.ContainsAny(e.ID, `/\`) {
+				// Not an ID this package issues, and it would name a
+				// result file outside results/.
+				continue
 			}
 			entries = append(entries, e)
 		}

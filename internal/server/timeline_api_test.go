@@ -1,8 +1,10 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -13,6 +15,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/jobs"
+	"repro/internal/sim"
 )
 
 // newTimelineTestServer wires an engine with interval telemetry armed
@@ -165,6 +168,59 @@ func TestResultTimelineDocumentJSONAndCSV(t *testing.T) {
 	r.Body.Close()
 	if r.StatusCode != http.StatusNotModified {
 		t.Errorf("overlay revalidation status = %d, want 304", r.StatusCode)
+	}
+}
+
+// TestTimelineOtherSchemaVersion: a sidecar written by a binary with
+// another telemetry schema (a store shared across versions) is not
+// rendered as this version's rows: the CSV route answers an error and
+// the overlay reports the series incomplete.
+func TestTimelineOtherSchemaVersion(t *testing.T) {
+	store, err := engine.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := engine.New(engine.Options{Scale: tiny, Store: store, TelemetryInterval: 5_000})
+	ts := httptest.NewServer(New(eng).Handler())
+	defer ts.Close()
+
+	job := engine.Job{Traces: []string{"lbm-1274"}, L1: []string{"Gaze"}}
+	key := job.CanonicalJSON(tiny)
+	doc, err := engine.ExportTelemetry(key, &sim.Telemetry{Interval: 5_000, Cores: []sim.CoreTelemetry{{
+		Prefetcher: "Gaze", Samples: []sim.IntervalSample{{Start: 0, End: 5_000, IPC: 0.5}},
+	}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1 := fmt.Sprintf(`"version": %d,`, engine.TelemetrySchemaVersion)
+	v2 := fmt.Sprintf(`"version": %d,`, engine.TelemetrySchemaVersion+1)
+	if !bytes.Contains(doc, []byte(v1)) {
+		t.Fatalf("document does not carry %s", v1)
+	}
+	if err := store.PutTelemetry(key, bytes.Replace(doc, []byte(v1), []byte(v2), 1)); err != nil {
+		t.Fatal(err)
+	}
+
+	addr := job.ContentAddress(tiny)
+	r, err := http.Get(ts.URL + "/results/" + addr + "/timeline?format=csv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(r.Body)
+	r.Body.Close()
+	if r.StatusCode != http.StatusInternalServerError || strings.Contains(string(body), "core,prefetcher") {
+		t.Errorf("csv of a v%d sidecar = %d %q, want a 500 error and no rows",
+			engine.TelemetrySchemaVersion+1, r.StatusCode, body)
+	}
+
+	overlay, r := overlayFor(t, ts, "trace=lbm-1274&prefetchers=Gaze")
+	if r.StatusCode != http.StatusOK {
+		t.Fatalf("overlay status = %d", r.StatusCode)
+	}
+	if overlay.SeriesComplete != 0 || len(overlay.Series) != 1 || overlay.Series[0].Complete ||
+		len(overlay.Series[0].Samples) != 0 {
+		t.Errorf("overlay over a v%d sidecar = %+v, want the series incomplete",
+			engine.TelemetrySchemaVersion+1, overlay)
 	}
 }
 
