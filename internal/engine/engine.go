@@ -477,21 +477,6 @@ func (e *Engine) Lookup(key string) (sim.Result, bool) {
 	return sim.Result{}, false
 }
 
-// HasKey reports whether the result for a canonical job key is already
-// available: a memo probe by key, else a store stat at addr, the key's
-// content address (AddressOfKey). Callers that probe the same cells on
-// every request — analytics ETags — keep both precomputed, so a probe
-// encodes and hashes nothing. The stat is not cached: other processes
-// sharing the store directory complete results too. Like Store.Has it can
-// answer true for a corrupt store entry until a read heals it; Lookup
-// remains authoritative.
-func (e *Engine) HasKey(key, addr string) bool {
-	e.mu.Lock()
-	_, ok := e.memo[key]
-	e.mu.Unlock()
-	return ok || e.store != nil && e.store.Has(addr)
-}
-
 // Run executes one job, deduplicated three ways: concurrent identical jobs
 // coalesce onto one execution, repeated jobs hit the in-process memo, and
 // repeated jobs across processes hit the persisted store. It is for

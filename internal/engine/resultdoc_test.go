@@ -39,8 +39,9 @@ func TestResultDocumentRoundTrip(t *testing.T) {
 		t.Error("ImportResult round-trip changed the record")
 	}
 
-	// A fresh engine adopts the document: Lookup and HasKey see it without
-	// simulating, and the store write is the same bytes Put would emit.
+	// A fresh engine adopts the document: Lookup and a completion probe
+	// see it without simulating, and the store write is the same bytes
+	// Put would emit.
 	adoptStore, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -49,7 +50,8 @@ func TestResultDocumentRoundTrip(t *testing.T) {
 	if _, ok := e2.Lookup(key); ok {
 		t.Fatal("fresh engine already has the result")
 	}
-	if e2.HasKey(key, addr) {
+	probe := e2.CompletionProbe([]string{key}, []string{addr})
+	if len(probe.Completed()) != 0 {
 		t.Fatal("fresh engine claims to have the result")
 	}
 	e2.Adopt(key, res)
@@ -57,15 +59,19 @@ func TestResultDocumentRoundTrip(t *testing.T) {
 	if !ok || !reflect.DeepEqual(got, res) {
 		t.Error("Lookup after Adopt did not return the adopted result")
 	}
-	if !e2.HasKey(key, addr) || !adoptStore.Has(addr) {
-		t.Error("Has after Adopt is false")
+	if len(probe.Completed()) != 1 {
+		t.Error("probe after Adopt does not count the result")
 	}
 	if c := e2.Counters(); c.Simulated != 0 {
 		t.Errorf("Adopt simulated: %+v", c)
 	}
 
-	// A third engine sharing the store Lookups through disk alone.
+	// A third engine sharing the store probes and Lookups through disk
+	// alone.
 	e3 := New(Options{Scale: tiny, Store: adoptStore})
+	if len(e3.CompletionProbe([]string{key}, []string{addr}).Completed()) != 1 {
+		t.Error("store-only probe after Adopt does not count the result")
+	}
 	if got, ok := e3.Lookup(key); !ok || !reflect.DeepEqual(got, res) {
 		t.Error("Lookup through the store missed the adopted result")
 	}

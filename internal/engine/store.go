@@ -50,6 +50,12 @@ type Store struct {
 	// monitoring-grade accuracy.
 	telemetryDocs  atomic.Int64
 	telemetryBytes atomic.Int64
+
+	// witness is the largest shard-directory mtime (Unix nanoseconds) a
+	// CompletionProbe has observed, stamps ahead of the local clock left
+	// out: proof that the filesystem clock has reached it, so any later
+	// change to a directory whose mtime is older stamps a different one.
+	witness atomic.Int64
 }
 
 // DefaultDir returns the store directory used when none is configured:
@@ -98,12 +104,31 @@ func hashKey(key string) string {
 
 func (s *Store) path(key string) string { return s.addrPath(hashKey(key)) }
 
-// addrPath returns the record path for a content address. One
-// concatenation, not filepath.Join: analytics revalidation stats a path
-// per grid cell on every request.
+// addrPath returns the record path for a content address:
+// shardPath(addr)/<rest>.json.
 func (s *Store) addrPath(addr string) string {
-	const sep = string(filepath.Separator)
-	return s.dir + sep + addr[:2] + sep + addr[2:] + ".json"
+	return s.shardPath(addr) + string(filepath.Separator) + addr[2:] + ".json"
+}
+
+// shardPath returns the directory holding a content address's record
+// and sidecar: dir/<hh>, hh the address's first byte.
+func (s *Store) shardPath(addr string) string {
+	return s.dir + string(filepath.Separator) + addr[:2]
+}
+
+// observeShardTime raises the witness to a shard-directory mtime seen
+// by a probe, unless the stamp is ahead of now (a skewed or hand-set
+// clock), which proves nothing about the filesystem clock.
+func (s *Store) observeShardTime(mtime, now int64) {
+	if mtime > now {
+		return
+	}
+	for {
+		w := s.witness.Load()
+		if mtime <= w || s.witness.CompareAndSwap(w, mtime) {
+			return
+		}
+	}
 }
 
 // Get returns the persisted result for key. Corrupted, stale-version or
@@ -174,18 +199,6 @@ func WriteFileAtomic(path string, data []byte) error {
 // Len returns the number of persisted entries (counted at Open, tracked
 // incrementally after).
 func (s *Store) Len() int { return int(s.entries.Load()) }
-
-// Has reports whether an entry for a content address is present on disk,
-// from a stat alone. It does not validate the record's version or key the
-// way Get does, so a corrupt entry can answer true until a Get heals it —
-// callers wanting the result itself must still Get (or Engine.Lookup).
-func (s *Store) Has(addr string) bool {
-	if !isAddress(addr) {
-		return false
-	}
-	_, err := os.Stat(s.addrPath(addr))
-	return err == nil
-}
 
 // StoreEntry describes one persisted record for GC and monitoring:
 // its content address, on-disk size, and last-modified time (the age the
@@ -324,11 +337,15 @@ func (s *Store) TelemetryLen() (docs int64, bytes int64) {
 }
 
 // recordPrefix is the exact leading bytes Put's MarshalIndent emits for a
-// current-schema record (the trailing comma keeps e.g. version 20 from
-// matching a version-2 check). Open's walk matches it to recognize our
-// own records from a bounded read instead of loading every record's full
+// current-schema record. Open's walk matches it to recognize our own
+// records from a bounded read instead of loading every record's full
 // contents on every process start.
-var recordPrefix = fmt.Appendf(nil, "{\n\t\"version\": %d,", StoreSchemaVersion)
+var recordPrefix = versionHeader(StoreSchemaVersion)
+
+// versionHeader is the exact leading bytes MarshalIndent emits for a
+// document whose first field is version v (the trailing comma keeps e.g.
+// version 20 from matching a version-2 check).
+func versionHeader(v int) []byte { return fmt.Appendf(nil, "{\n\t\"version\": %d,", v) }
 
 // isShardDir reports whether name is a two-hex-digit shard directory —
 // the only kind of subdirectory the store creates.

@@ -73,6 +73,22 @@ func ImportTelemetry(addr string, data []byte) (key string, tel *sim.Telemetry, 
 	return rec.Key, rec.Telemetry, nil
 }
 
+// telemetryHeader is the exact leading bytes encodeTelemetryRecord emits.
+var telemetryHeader = versionHeader(TelemetrySchemaVersion)
+
+// CheckTelemetryVersion reports, as DecodeTelemetry would, whether a
+// persisted telemetry document is of another schema version, for a
+// consumer that serves the bytes verbatim. A document the canonical
+// encoder wrote is recognized from its leading bytes without decoding;
+// any other is decoded, and the decoder's error returned.
+func CheckTelemetryVersion(doc []byte) error {
+	if bytes.HasPrefix(doc, telemetryHeader) {
+		return nil
+	}
+	_, err := DecodeTelemetry(doc)
+	return err
+}
+
 // DecodeTelemetry parses a persisted telemetry document without address
 // verification — for consumers (CSV rendering, analytics overlays) that
 // already trust the bytes because they came from the local store. Like

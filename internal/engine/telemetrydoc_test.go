@@ -7,6 +7,7 @@ package engine
 // succeed or fail exactly as the encoding/json reference does.
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -293,4 +294,32 @@ func FuzzDecodeTelemetry(f *testing.F) {
 			t.Fatalf("ImportTelemetry differs from the reference: key %q vs %q", key, ref.Key)
 		}
 	})
+}
+
+// TestCheckTelemetryVersion: the canonical document passes on its
+// leading bytes, another encoding of it through the decoder, and a
+// document of another version — including one whose number only starts
+// with this version's — fails with the decoder's error.
+func TestCheckTelemetryVersion(t *testing.T) {
+	doc, err := ExportTelemetry("k", &sim.Telemetry{Interval: 10, Cores: []sim.CoreTelemetry{{Prefetcher: "Gaze"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var compact bytes.Buffer
+	if err := json.Compact(&compact, doc); err != nil {
+		t.Fatal(err)
+	}
+	for _, ok := range [][]byte{doc, compact.Bytes()} {
+		if err := CheckTelemetryVersion(ok); err != nil {
+			t.Errorf("CheckTelemetryVersion(%.40q) = %v", ok, err)
+		}
+	}
+	v1 := fmt.Sprintf(`"version": %d,`, TelemetrySchemaVersion)
+	for _, v := range []int{TelemetrySchemaVersion + 1, TelemetrySchemaVersion * 10} {
+		other := bytes.Replace(doc, []byte(v1), []byte(fmt.Sprintf(`"version": %d,`, v)), 1)
+		_, want := DecodeTelemetry(other)
+		if err := CheckTelemetryVersion(other); err == nil || want == nil || err.Error() != want.Error() {
+			t.Errorf("v%d: CheckTelemetryVersion = %v, want the decoder's %v", v, err, want)
+		}
+	}
 }

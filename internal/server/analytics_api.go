@@ -18,7 +18,10 @@
 // The ETag is derived from the result-set address plus the sorted subset
 // of addresses whose results exist, so it changes exactly when new
 // underlying results complete (or are GC'd) and a matching If-None-Match
-// answers 304 without touching a single record. Each URL's compiled grid
+// answers 304 without reading a single record: the view's
+// engine.CompletionProbe checks the memo once and stats one directory
+// per store shard that holds a pending cell, and a cell's record only
+// when its shard changed. Each URL's compiled grid
 // and assembled document are cached in-process per (endpoint, raw query);
 // the cache holds a ref on every address backing a cached document, which
 // result-store GC honors.
@@ -195,19 +198,22 @@ func resultSetAddress(addrs []string) string {
 
 // analyticsView is one compiled analytics request: the grid, the per-job
 // content addresses (aligned with grid.jobs), the sorted unique address
-// set with its content address, and each unique address's canonical job
-// key (aligned with unique). A view depends only on the query and the
-// engine's scale, so it is compiled once per URL and cached with the
-// document: revalidating from it encodes and hashes no job again.
+// set with its content address, each unique address's canonical job key
+// (aligned with unique), and the completion probe over those cells. A
+// view depends only on the query and the engine, so it is compiled once
+// per URL and cached with the document: revalidating from it encodes
+// and hashes no job again.
 type analyticsView struct {
 	grid      *sweepGrid
 	addrs     []string
 	unique    []string // sorted, deduped
 	keys      []string // canonical job keys, aligned with unique
 	resultSet string
+	probe     *engine.CompletionProbe // indices into unique
 }
 
-func compileAnalytics(scale engine.Scale, q url.Values, allowAxis bool) (*analyticsView, error) {
+func compileAnalytics(eng *engine.Engine, q url.Values, allowAxis bool) (*analyticsView, error) {
+	scale := eng.Scale()
 	req, err := parseAnalyticsQuery(q, allowAxis)
 	if err != nil {
 		return nil, err
@@ -232,6 +238,7 @@ func compileAnalytics(scale engine.Scale, q url.Values, allowAxis bool) (*analyt
 		v.keys[i] = keyOf[addr]
 	}
 	v.resultSet = resultSetAddress(v.unique)
+	v.probe = eng.CompletionProbe(v.keys, v.unique)
 	return v, nil
 }
 
@@ -248,25 +255,12 @@ func (s *Server) viewFor(key string, r *http.Request, allowAxis bool) (*analytic
 		}
 		return v, nil
 	}
-	v, err := compileAnalytics(s.eng.Scale(), r.URL.Query(), allowAxis)
+	v, err := compileAnalytics(s.eng, r.URL.Query(), allowAxis)
 	if err != nil {
 		return nil, err
 	}
 	s.analytics.put(key, v, "", nil, nil)
 	return v, nil
-}
-
-// completed probes every unique cell — the memo by its stored key, else a
-// store stat at its stored address — and returns the indices into unique
-// whose results exist, in address order.
-func (v *analyticsView) completed(eng *engine.Engine) []int {
-	var done []int
-	for i, addr := range v.unique {
-		if eng.HasKey(v.keys[i], addr) {
-			done = append(done, i)
-		}
-	}
-	return done
 }
 
 // etag derives the strong ETag: a hash of the result-set address plus the
@@ -424,12 +418,12 @@ func (s *Server) serveAnalytics(w http.ResponseWriter, r *http.Request, allowAxi
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	done := v.completed(s.eng)
+	done := v.probe.Completed()
 	etag := v.etag(done)
 	w.Header().Set("ETag", etag)
 	// Pure read, revalidate-cheaply: intermediaries may cache but must
-	// ask again, and the ask is a 304 from one memo probe or store stat
-	// per cell most of the time.
+	// ask again, and the ask is a 304 from one memo pass and a stat per
+	// pending store shard most of the time.
 	w.Header().Set("Cache-Control", "public, no-cache")
 	if inm := r.Header.Get("If-None-Match"); inm != "" && etagMatches(inm, etag) {
 		w.WriteHeader(http.StatusNotModified)

@@ -86,6 +86,12 @@ func (s *Server) handleResultTimeline(w http.ResponseWriter, r *http.Request) {
 		writeTimelineCSV(w, tel)
 		return
 	}
+	// The JSON route serves the stored bytes verbatim, but not a sidecar
+	// of another schema version: it answers the CSV route's error.
+	if err := engine.CheckTelemetryVersion(doc); err != nil {
+		httpError(w, http.StatusInternalServerError, "decoding stored timeline: %v", err)
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	w.Write(doc) //nolint:errcheck // client disconnects are routine

@@ -173,8 +173,8 @@ func TestResultTimelineDocumentJSONAndCSV(t *testing.T) {
 
 // TestTimelineOtherSchemaVersion: a sidecar written by a binary with
 // another telemetry schema (a store shared across versions) is not
-// rendered as this version's rows: the CSV route answers an error and
-// the overlay reports the series incomplete.
+// served as this version's document: the CSV and JSON routes answer the
+// same error, and the overlay reports the series incomplete.
 func TestTimelineOtherSchemaVersion(t *testing.T) {
 	store, err := engine.Open(t.TempDir())
 	if err != nil {
@@ -211,6 +211,16 @@ func TestTimelineOtherSchemaVersion(t *testing.T) {
 	if r.StatusCode != http.StatusInternalServerError || strings.Contains(string(body), "core,prefetcher") {
 		t.Errorf("csv of a v%d sidecar = %d %q, want a 500 error and no rows",
 			engine.TelemetrySchemaVersion+1, r.StatusCode, body)
+	}
+	r, err = http.Get(ts.URL + "/results/" + addr + "/timeline")
+	if err != nil {
+		t.Fatal(err)
+	}
+	jsonBody, _ := io.ReadAll(r.Body)
+	r.Body.Close()
+	if r.StatusCode != http.StatusInternalServerError || !bytes.Equal(jsonBody, body) {
+		t.Errorf("json of a v%d sidecar = %d %q, want the csv route's 500 %q",
+			engine.TelemetrySchemaVersion+1, r.StatusCode, jsonBody, body)
 	}
 
 	overlay, r := overlayFor(t, ts, "trace=lbm-1274&prefetchers=Gaze")
