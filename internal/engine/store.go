@@ -140,15 +140,13 @@ func (s *Store) Get(key string) (sim.Result, bool) {
 	if err != nil {
 		return sim.Result{}, false
 	}
-	var rec record
-	if err := json.Unmarshal(data, &rec); err != nil ||
-		rec.Version != StoreSchemaVersion || rec.Key != key {
-		if os.Remove(p) == nil {
-			s.entries.Add(-1)
-		}
-		return sim.Result{}, false
+	if rec, err := decodeRecord(data); err == nil && rec.Key == key {
+		return rec.Result, true
 	}
-	return rec.Result, true
+	if os.Remove(p) == nil {
+		s.entries.Add(-1)
+	}
+	return sim.Result{}, false
 }
 
 // Put persists the result for key, replacing any previous entry.
